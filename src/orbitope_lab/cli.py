@@ -156,7 +156,9 @@ def cmd_polytope(args) -> tuple[int, dict]:
     group = weyl.generate(rs)
     dom, hull = _orbit_polytope(rs, group, x)
     faces = poly.face_lattice(hull, budget=args.face_budget)
-    orbits = poly.faces_up_to_group(hull, group, budget=args.face_budget)
+    orbits = poly.faces_up_to_group(
+        hull, poly.vertex_permutations(hull, group), budget=args.face_budget
+    )
     by_dim = {}
     for face in faces:
         by_dim[face.dim] = by_dim.get(face.dim, 0) + 1
@@ -372,16 +374,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         status, report = args.handler(args)
-    except CliError as exc:
+        text = render_report(report, args.format)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    text = render_report(report, args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
     return status

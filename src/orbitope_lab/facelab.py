@@ -21,7 +21,7 @@ from itertools import combinations
 
 from . import polytope as poly
 from . import weyl
-from .linalg import Vec, mat, matvec, rank, vec, vec_add, vec_sub, zeros
+from .linalg import Vec, mat, rank, vec, vec_add, vec_sub, zeros
 from .rootsys import (
     RootSystem,
     fundamental_coweights,
@@ -174,18 +174,25 @@ def canonical_beta(rs: RootSystem, subset_j) -> Vec:
     return beta
 
 
-def parabolic_subgroup(group: weyl.WeylGroup, subset_j) -> tuple:
-    """Elements of the subgroup generated by the reflections in J.
+def parabolic_subgroup(group: weyl.WeylGroup, subset_j) -> weyl.WeylGroup:
+    """The subgroup generated by the reflections in J, in BFS order.
 
     Uses the fact that an element lies in the parabolic subgroup exactly
     when its reduced word only uses letters from J; the stored words are
-    geodesic, hence reduced.
+    geodesic, hence reduced.  The kept elements stay in BFS order with
+    their words, as ``weyl.generate_subgroup`` would list them.
     """
     walls = frozenset(int(i) for i in subset_j)
-    return tuple(
-        element
-        for element, word in zip(group.elements, group.words)
-        if set(word) <= walls
+    kept = [
+        (perm, word)
+        for perm, word in zip(group.perms, group.words)
+        if walls.issuperset(word)
+    ]
+    return weyl.WeylGroup(
+        root_system=group.root_system,
+        generator_indices=tuple(sorted(walls)),
+        perms=tuple(perm for perm, _ in kept),
+        words=tuple(word for _, word in kept),
     )
 
 
@@ -214,11 +221,7 @@ def classify_faces(rs: RootSystem, group: weyl.WeylGroup, x) -> tuple:
             if len(sat) == rs.rank:
                 continue
             beta = canonical_beta(rs, sat)
-            sigma = tuple(
-                sorted(
-                    {matvec(element, xv) for element in parabolic_subgroup(group, sat)}
-                )
-            )
+            sigma = tuple(sorted(weyl.orbit(parabolic_subgroup(group, sat), xv)))
             if len(sigma) == 1:
                 dim_sigma = 0
             else:
@@ -284,8 +287,8 @@ def verify_bijection(
     if descriptors is None:
         descriptors = classify_faces(rs, group, dominant)
 
-    orbits = poly.faces_up_to_group(orbit_polytope, group, budget=face_budget)
     perms = poly.vertex_permutations(orbit_polytope, group)
+    orbits = poly.faces_up_to_group(orbit_polytope, perms, budget=face_budget)
     rep_sizes = {face.vertex_indices: size for face, size in orbits}
 
     counterexamples = []

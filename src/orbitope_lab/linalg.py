@@ -73,10 +73,6 @@ def matmul(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
-def outer(u: Vec, v: Vec) -> Mat:
-    return tuple(tuple(x * y for y in v) for x in u)
-
-
 def rref(a) -> tuple[list, list[int]]:
     """Reduced row echelon form.  Returns (rows, pivot_columns)."""
     rows = [list(r) for r in a]

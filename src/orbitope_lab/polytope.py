@@ -1,9 +1,9 @@
 """Exact convex polytopes over the rationals.
 
-Everything here is deliberately brute force so it can serve as an oracle:
-a hull is found by testing every hyperplane spanned by d of the input
-points, faces come from intersecting facet vertex sets, and no floating
-point enters at any stage.  Points are reduced to integer coordinates on
+Hulls and faces are deliberately brute force so they can serve as an
+oracle: a hull is found by testing every hyperplane spanned by d of the
+input points, faces come from intersecting facet vertex sets, and no
+floating point enters at any stage.  Points are reduced to integer coordinates on
 their affine hull first, which keeps the inner loops in machine integers.
 
 Facet inequalities are stored in ambient coordinates as pairs
@@ -17,9 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 
+from . import weyl
 from .linalg import (
     Vec,
     dot,
@@ -28,7 +28,6 @@ from .linalg import (
     mat,
     matmul,
     matvec,
-    nullspace,
     primitive,
     rank,
     solve,
@@ -56,10 +55,6 @@ class RationalPolytope:
     origin: Vec
     basis: tuple
 
-    @cached_property
-    def vertex_index(self) -> dict:
-        return {v: i for i, v in enumerate(self.vertices)}
-
 
 @dataclass(frozen=True)
 class PolytopeFace:
@@ -69,34 +64,31 @@ class PolytopeFace:
     dim: int
 
 
-def _normal_through(points, d):
-    """Integer normal of the hyperplane through d integer points, or None.
+def _cross(rows) -> tuple:
+    """Generalized cross product of d - 1 integer vectors in d-space.
 
-    Returns None when the points are affinely dependent (no unique
-    hyperplane).  Fast paths cover d = 2 and d = 3; higher dimensions fall
-    back to an exact nullspace computation.
+    Entry j is (-1)^j times the minor with column j deleted: orthogonal to
+    every row, and zero exactly when the rows are dependent.  Above d = 3
+    each minor expands along its first row, whose cofactors are the cross
+    product of the remaining rows.
     """
-    base = points[0]
-    edges = [tuple(p[k] - base[k] for k in range(d)) for p in points[1:]]
+    d = len(rows) + 1
     if d == 2:
-        (dx, dy) = edges[0]
-        if dx == 0 and dy == 0:
-            return None
+        (dx, dy) = rows[0]
         return (dy, -dx)
     if d == 3:
-        u, v = edges
-        n = (
+        u, v = rows
+        return (
             u[1] * v[2] - u[2] * v[1],
             u[2] * v[0] - u[0] * v[2],
             u[0] * v[1] - u[1] * v[0],
         )
-        if n == (0, 0, 0):
-            return None
-        return n
-    kernel = nullspace(mat(edges))
-    if len(kernel) != 1:
-        return None
-    return primitive(kernel[0])
+    out = []
+    for j in range(d):
+        sub = [r[:j] + r[j + 1 :] for r in rows]
+        minor = sum(a * b for a, b in zip(sub[0], _cross(sub[1:])))
+        out.append(-minor if j % 2 else minor)
+    return tuple(out)
 
 
 def hull(points) -> RationalPolytope:
@@ -147,14 +139,16 @@ def hull(points) -> RationalPolytope:
         m = len(coords)
         checked = set()
         for subset in combinations(range(m), d):
-            n = _normal_through([coords[i] for i in subset], d)
-            if n is None:
+            base = coords[subset[0]]
+            # the hyperplane's normal; zero when the points are dependent
+            n = _cross([tuple(map(int.__sub__, coords[i], base)) for i in subset[1:]])
+            if not any(n):
                 continue
-            b = sum(a * c for a, c in zip(n, coords[subset[0]]))
-            key = primitive(n + (b,))
-            lead = next(v for v in key[:d] if v != 0)
-            if lead < 0:
-                key = tuple(-v for v in key)
+            b = sum(a * c for a, c in zip(n, base))
+            g = math.gcd(*n, b)
+            if next(v for v in n if v != 0) < 0:
+                g = -g
+            key = tuple(v // g for v in n) + (b // g,)
             if key in checked:
                 continue
             checked.add(key)
@@ -277,37 +271,43 @@ def face_lattice(
 
 
 def vertex_permutations(polytope: RationalPolytope, group) -> tuple:
-    """How each group element permutes the vertex indices.
+    """How each element of a Weyl group permutes the vertex indices.
 
-    ``group`` is either an object with an ``elements`` attribute (a Weyl
-    group) or an iterable of exact matrices.  Raises ValueError when some
-    element does not map the vertex set onto itself.
+    ``perms[i][k]`` is the index of the image of vertex k under the i-th
+    element of ``group``.  Each simple reflection's permutation is found
+    once; element i is its BFS parent (its word less the last letter)
+    times that letter, so its permutation is the parent's composed with
+    the letter's by tuple indexing.  Raises ValueError when the group
+    does not map the vertex set onto itself.
     """
-    elements = getattr(group, "elements", group)
-    index_of = polytope.vertex_index
+    rs = group.root_system
+    if rs.ambient_dim != polytope.ambient_dim:
+        raise ValueError("the group and the polytope have different dimensions")
+    letters = {
+        i: weyl.point_permutation(rs, i, polytope.vertices)
+        for i in group.generator_indices
+    }
+    index_of_word = {w: i for i, w in enumerate(group.words)}
     perms = []
-    for g in elements:
-        image = []
-        for v in polytope.vertices:
-            w = matvec(g, v)
-            j = index_of.get(w)
-            if j is None:
-                raise ValueError("the group does not preserve the polytope")
-            image.append(j)
-        perms.append(tuple(image))
+    for word in group.words:
+        if not word:
+            perms.append(tuple(range(len(polytope.vertices))))
+            continue
+        parent = perms[index_of_word[word[:-1]]]
+        perms.append(tuple([parent[j] for j in letters[word[-1]]]))
     return tuple(perms)
 
 
 def faces_up_to_group(
-    polytope: RationalPolytope, group, *, budget: int = DEFAULT_FACE_BUDGET
+    polytope: RationalPolytope, perms, *, budget: int = DEFAULT_FACE_BUDGET
 ) -> tuple:
-    """Orbit representatives of the proper faces under a linear group.
+    """Orbit representatives of the proper faces under a group.
 
-    Returns (face, orbit_size) pairs, the representative being the face
-    whose sorted vertex-index tuple is lexicographically least in its
-    orbit, sorted by (dim, indices).
+    ``perms`` is the group's action on the vertex indices, as returned by
+    :func:`vertex_permutations`.  Returns (face, orbit_size) pairs, the
+    representative being the face whose sorted vertex-index tuple is
+    lexicographically least in its orbit, sorted by (dim, indices).
     """
-    perms = vertex_permutations(polytope, group)
     faces = face_lattice(polytope, budget=budget)
     proper = [f for f in faces if len(f.vertex_indices) < len(polytope.vertices)]
     by_ids = {f.vertex_indices: f for f in faces}

@@ -78,46 +78,6 @@ class RootSystem:
             vec_scale(-1, r) for r in self.positive_roots
         )
 
-    @property
-    def multiplicities(self) -> dict:
-        out = {}
-        for root, m in zip(self.positive_roots, self.positive_multiplicities):
-            out[root] = m
-            out[vec_scale(-1, root)] = m
-        return out
-
-    def multiplicity(self, root: Vec) -> int:
-        mults = self.multiplicities
-        if root not in mults:
-            raise ValueError(f"{root!r} is not a root of {self.label}")
-        return mults[root]
-
-    @property
-    def is_reduced(self) -> bool:
-        pos = set(self.positive_roots)
-        return not any(vec_scale(2, r) in pos for r in pos)
-
-
-@dataclass(frozen=True)
-class ChamberPoint:
-    """A point of the Cartan space with its exact sign data.
-
-    ``signs`` is aligned with ``root_system.positive_roots`` and holds the
-    sign (-1, 0, +1) of each positive root's pairing with ``coords``.
-    """
-
-    root_system: RootSystem
-    coords: Vec
-    signs: tuple
-
-    @property
-    def sign_vector(self) -> dict:
-        return dict(zip(self.root_system.positive_roots, self.signs))
-
-    @property
-    def is_dominant(self) -> bool:
-        return all(s >= 0 for s in self.signs)
-
 
 def pairing(rs: RootSystem, lam: Vec, v: Vec) -> Fraction:
     """Exact value of the root (or any covector) lam on v: <lam, v>_G."""
@@ -126,6 +86,13 @@ def pairing(rs: RootSystem, lam: Vec, v: Vec) -> Fraction:
             f"dimension mismatch: expected vectors of length {rs.ambient_dim}"
         )
     return dot(lam, matvec(rs.inner_product, v))
+
+
+def reflect(rs: RootSystem, alpha: Vec, v: Vec) -> Vec:
+    """Reflection in alpha: v - 2 <alpha, v>_G / <alpha, alpha>_G * alpha."""
+    galpha = metric_covector(rs, alpha)
+    c = 2 * dot(galpha, v) / dot(galpha, alpha)
+    return tuple(x - c * a for x, a in zip(v, alpha, strict=True))
 
 
 def metric_covector(rs: RootSystem, v: Vec) -> Vec:
@@ -138,17 +105,6 @@ def metric_covector(rs: RootSystem, v: Vec) -> Vec:
     return matvec(rs.inner_product, vec(v))
 
 
-def chamber_point(rs: RootSystem, coords) -> ChamberPoint:
-    x = vec(coords)
-    if len(x) != rs.ambient_dim:
-        raise ValueError(f"expected {rs.ambient_dim} coordinates, got {len(x)}")
-    signs = []
-    for lam in rs.positive_roots:
-        p = pairing(rs, lam, x)
-        signs.append(0 if p == 0 else (1 if p > 0 else -1))
-    return ChamberPoint(rs, x, tuple(signs))
-
-
 def share_closed_chamber(rs: RootSystem, x, y) -> bool:
     """True iff lam(x) * lam(y) >= 0 for every root lam.
 
@@ -156,11 +112,8 @@ def share_closed_chamber(rs: RootSystem, x, y) -> bool:
     This is the exact combinatorial test for x and y lying in a common
     closed Weyl chamber.
     """
-    xv, yv = vec(x), vec(y)
-    for lam in rs.positive_roots:
-        if pairing(rs, lam, xv) * pairing(rs, lam, yv) < 0:
-            return False
-    return True
+    gx, gy = metric_covector(rs, x), metric_covector(rs, y)
+    return all(dot(lam, gx) * dot(lam, gy) >= 0 for lam in rs.positive_roots)
 
 
 def is_dominant(rs: RootSystem, x) -> bool:
@@ -283,6 +236,10 @@ def _validate(rs: RootSystem) -> RootSystem:
     for a in rs.simple_roots:
         if a not in pos:
             raise ValueError("every simple root must be listed as a positive root")
+    roots = set(rs.roots)
+    for a in rs.simple_roots:
+        if any(reflect(rs, a, r) not in roots for r in rs.positive_roots):
+            raise ValueError("the roots are not closed under the simple reflections")
     return rs
 
 

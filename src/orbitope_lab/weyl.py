@@ -1,82 +1,69 @@
-"""Finite reflection groups as exact rational matrices.
+"""Finite reflection groups, each element stored as a permutation of the roots.
 
-The group attached to a root system is generated by the simple reflections
-
-    s_a(v) = v - 2 <a, v>_G / <a, a>_G * a
-
-and enumerated by breadth-first closure, deduplicating by exact matrix
-equality.  Elements are listed in BFS order (word length first, then
-lexicographic on generator indices), which fixes every canonical choice
-downstream: words are reduced, ``to_dominant`` picks the first witness,
+The simple reflections s_a(v) = v - 2 <a, v>_G / <a, a>_G * a permute
+``rs.roots`` (root data is closed under them, see ``rootsys``), and the
+roots span everything the group moves, so ``perm[k]`` = index of the image
+of the k-th root determines an element.  ``generate`` enumerates the group
+breadth-first, composing permutations by tuple indexing.  BFS order (word
+length first, then lexicographic on generator indices) makes ``words[i]``
+the shortlex-least reduced word of element i and fixes every canonical
+choice downstream: ``to_dominant`` returns the BFS-first witness and
 orbits are listed in first-discovery order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
-from .linalg import (
-    Mat,
-    Vec,
-    identity,
-    matmul,
-    matvec,
-    transpose,
-    vec,
-    vec_add,
-    vec_scale,
-)
-from .rootsys import RootSystem, pairing
+from .linalg import Mat, Vec, dot, identity, inverse, matmul, matvec, transpose, vec
+from .rootsys import RootSystem, metric_covector, pairing, reflect
 
 DEFAULT_ORDER_CAP = 51840
 
 
 @dataclass(frozen=True)
 class WeylGroup:
-    """A reflection group with exact elements and reduced words.
+    """A reflection group with its elements as root permutations.
 
-    ``generator_indices`` names which simple roots of the root system
-    generate this group (the full simple set for the whole Weyl group, a
-    subset for parabolic subgroups).  ``words[i]`` spells ``elements[i]`` as
-    a product of simple reflections, letters being simple-root indices.
+    ``generator_indices`` names the simple roots whose reflections generate
+    the group (all of them, or a subset for a parabolic subgroup).
+    ``perms[i]`` is element i acting on the indices of ``root_system.roots``
+    and ``words[i]`` spells it in simple-root indices: ``s_{w_1} ... s_{w_k}``.
     """
 
     root_system: RootSystem
     generator_indices: tuple
-    elements: tuple
+    perms: tuple
     words: tuple
 
     @property
     def order(self) -> int:
-        return len(self.elements)
-
-    @property
-    def generators(self) -> tuple:
-        return tuple(
-            self.elements[self.words.index((idx,))] for idx in self.generator_indices
-        )
-
-    @cached_property
-    def element_index(self) -> dict:
-        return {m: i for i, m in enumerate(self.elements)}
+        return len(self.perms)
 
 
 def simple_reflection(rs: RootSystem, index: int) -> Mat:
     """Exact matrix of the reflection in the index-th simple root."""
     alpha = rs.simple_roots[index]
-    norm2 = pairing(rs, alpha, alpha)
     galpha = matvec(rs.inner_product, alpha)
+    scale = 2 / pairing(rs, alpha, alpha)
     n = rs.ambient_dim
-    scale = 2 / norm2
     return tuple(
-        tuple(
-            (1 if a == b else 0) - scale * alpha[a] * galpha[b] for b in range(n)
-        )
+        tuple(int(a == b) - scale * alpha[a] * galpha[b] for b in range(n))
         for a in range(n)
     )
+
+
+def point_permutation(rs: RootSystem, index: int, points) -> tuple:
+    """How the index-th simple reflection permutes a point list, or ValueError."""
+    alpha = rs.simple_roots[index]
+    where = {p: k for k, p in enumerate(points)}
+    image = tuple(where.get(reflect(rs, alpha, p)) for p in points)
+    if None in image:
+        raise ValueError("the group does not preserve the point set")
+    return image
 
 
 def generate(rs: RootSystem, *, order_cap: int = DEFAULT_ORDER_CAP) -> WeylGroup:
@@ -91,93 +78,122 @@ def generate_subgroup(
     gen_idx = tuple(sorted(set(int(i) for i in generator_indices)))
     if any(i < 0 or i >= rs.rank for i in gen_idx):
         raise ValueError("generator index out of range")
-    gens = [simple_reflection(rs, i) for i in gen_idx]
     ident = identity(rs.ambient_dim)
     gram = rs.inner_product
-    for g in gens:
+    for i in gen_idx:
+        g = simple_reflection(rs, i)
         if matmul(g, g) != ident:
             raise ValueError("simple reflection is not an involution (bad root data)")
         if matmul(matmul(transpose(g), gram), g) != gram:
             raise ValueError("simple reflection does not preserve the inner product")
-    elements = [ident]
+    roots = rs.roots
+    gens = [point_permutation(rs, i, roots) for i in gen_idx]
+    perms = [tuple(range(len(roots)))]
     words = [()]
-    seen = {ident: 0}
+    seen = {perms[0]}
     frontier = [0]
     while frontier:
         next_frontier = []
         for ei in frontier:
-            base = elements[ei]
-            base_word = words[ei]
+            base = perms[ei]
             for gi, g in zip(gen_idx, gens):
-                prod = matmul(base, g)
+                # (base . s_g)(root_k) = base(s_g(root_k))
+                prod = tuple([base[j] for j in g])
                 if prod in seen:
                     continue
-                if len(elements) >= order_cap:
+                if len(perms) >= order_cap:
                     raise ValueError(
                         f"group order exceeds the cap of {order_cap}; "
                         "this rank is not supported for exact enumeration"
                     )
-                seen[prod] = len(elements)
-                elements.append(prod)
-                words.append(base_word + (gi,))
-                next_frontier.append(len(elements) - 1)
+                seen.add(prod)
+                perms.append(prod)
+                words.append(words[ei] + (gi,))
+                next_frontier.append(len(perms) - 1)
         frontier = next_frontier
     return WeylGroup(
         root_system=rs,
         generator_indices=gen_idx,
-        elements=tuple(elements),
+        perms=tuple(perms),
         words=tuple(words),
     )
 
 
 def orbit(group: WeylGroup, x) -> tuple:
-    """The exact orbit of x, in first-discovery (BFS element) order."""
+    """The exact orbit of x, in first-discovery (BFS element) order.
+
+    x is sum_i c_i alpha_i plus a part orthogonal to the roots that the
+    group fixes, so w x is that part plus sum_i c_i w(alpha_i), with
+    w(alpha_i) read off w's permutation; sums run over scaled integers.
+    """
+    rs = group.root_system
     xv = vec(x)
-    out = []
-    seen = set()
-    for m in group.elements:
-        y = matvec(m, xv)
-        if y not in seen:
-            seen.add(y)
-            out.append(y)
-    return tuple(out)
+    simples = rs.simple_roots
+    gram = tuple(tuple(pairing(rs, a, b) for b in simples) for a in simples)
+    coeffs = matvec(inverse(gram), tuple(pairing(rs, a, xv) for a in simples))
+    fixed = [t - sum(c * a[j] for c, a in zip(coeffs, simples))
+             for j, t in enumerate(xv)]
+    roots = rs.roots
+    parts = [(roots.index(a), c) for a, c in zip(simples, coeffs) if c]
+    scale = math.lcm(
+        *(t.denominator for t in fixed),
+        math.lcm(*(c.denominator for _, c in parts))
+        * math.lcm(*(t.denominator for r in roots for t in r)),
+    )
+    base = tuple(int(t * scale) for t in fixed)
+    # scaled c * root, filled in for the roots the group reaches
+    tables = [(k, c * scale, {}) for k, c in parts]
+    images = {}
+    for perm in group.perms:
+        y = base
+        for k, c, table in tables:
+            j = perm[k]
+            if j not in table:
+                table[j] = tuple(int(c * t) for t in roots[j])
+            y = tuple(map(int.__add__, y, table[j]))
+        images.setdefault(y, None)
+    return tuple(tuple(Fraction(t, scale) for t in y) for y in images)
 
 
 class DominantResult(NamedTuple):
     vector: Vec
-    element: Mat
     word: tuple
 
 
 def to_dominant(group: WeylGroup, x) -> DominantResult:
-    """The dominant representative of x's orbit and a witness element.
+    """The dominant representative of x's orbit and a witness word.
 
-    Returns (x_plus, w, word) with w . x = x_plus and every simple pairing of
-    x_plus nonnegative.  The witness is the BFS-first element that works, so
-    the choice is deterministic; x_plus itself is orbit-invariant.
+    Returns (x_plus, word): the element w spelled by word maps x to x_plus,
+    whose simple pairings are all nonnegative.  w is the shortest such
+    element (it is unique) and word its shortlex-least reduced word, i.e.
+    the BFS-first witness.  Reflecting x in simple roots that pair
+    negatively with it reaches x_plus along w; the word is then read
+    greedily from the left, each letter the least i with w^-1(alpha_i)
+    negative, where ``inv[k]`` indexes w^-1(root_k).
     """
     rs = group.root_system
-    xv = vec(x)
-    for m, word in zip(group.elements, group.words):
-        y = matvec(m, xv)
-        if all(pairing(rs, a, y) >= 0 for a in rs.simple_roots):
-            return DominantResult(y, m, word)
-    raise ValueError(
-        "no dominant representative found; the group does not contain the "
-        "full Weyl group of the root system"
-    )
-
-
-def stabilizer(group: WeylGroup, x) -> tuple:
-    """All elements fixing x exactly, in BFS order (a subgroup)."""
-    xv = vec(x)
-    return tuple(m for m in group.elements if matvec(m, xv) == xv)
-
-
-def average(group: WeylGroup, x) -> Vec:
-    """(1/|W|) sum of the orbit with element multiplicity, exact."""
-    xv = vec(x)
-    total = vec([0] * len(xv))
-    for m in group.elements:
-        total = vec_add(total, matvec(m, xv))
-    return vec_scale(Fraction(1, group.order), total)
+    y = vec(x)
+    # <alpha_i, y>_G = covectors[i] . y, and reflecting in alpha_i
+    # subtracts (covectors[i] . y / halves[i]) alpha_i
+    covectors = [metric_covector(rs, a) for a in rs.simple_roots]
+    halves = [dot(a, c) / 2 for a, c in zip(rs.simple_roots, covectors)]
+    # BFS lists the generators right after the identity, in index order.
+    gens = dict(zip(group.generator_indices, group.perms[1:]))
+    inv = group.perms[0]
+    while negative := [i for i in gens if dot(covectors[i], y) < 0]:
+        i = negative[0]
+        c = dot(covectors[i], y) / halves[i]
+        y = tuple(t - c * a for t, a in zip(y, rs.simple_roots[i]))
+        inv = tuple([inv[j] for j in gens[i]])
+    if any(dot(cov, y) < 0 for cov in covectors):
+        raise ValueError(
+            "no dominant representative found; the group does not contain the "
+            "full Weyl group of the root system"
+        )
+    positives = len(rs.positive_roots)
+    simple_ids = {i: rs.positive_roots.index(rs.simple_roots[i]) for i in gens}
+    word = []
+    while descents := [i for i, k in simple_ids.items() if inv[k] >= positives]:
+        word.append(descents[0])
+        inv = tuple([inv[j] for j in gens[descents[0]]])
+    return DominantResult(y, tuple(word))

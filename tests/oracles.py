@@ -1,8 +1,10 @@
 """Independent reference implementations for cross-checking test values.
 
 Nothing here reuses the library's decision procedures: convex-hull
-membership goes through a phase-one simplex over exact rationals,
-chamber sharing through enumeration of the whole reflection group, the
+membership goes through a phase-one simplex over exact rationals, the
+reflection group is enumerated as exact matrices built from the simple
+roots and the Gram matrix alone (orbits, dominant representatives,
+vertex actions and chamber sharing are read off those matrices), the
 symmetric matrix model through the majorization characterization of
 diagonals, and the Haar mass near the model's vertices through a
 second-order expansion of the orbit map.  Agreement between these and the
@@ -29,19 +31,150 @@ def _matvec(m, v):
     return tuple(_dot(row, v) for row in m)
 
 
+def _integers(values):
+    """Positive rational multiple of a vector with integer entries."""
+    scale = math.lcm(*(Fraction(v).denominator for v in values))
+    return tuple(int(Fraction(v) * scale) for v in values)
+
+
+def _int_matvec(m, v):
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
+
+
 def dominant_by_pairings(rs, v) -> bool:
     return all(_pair(rs, alpha, v) >= 0 for alpha in rs.simple_roots)
 
 
+class MatrixGroup(NamedTuple):
+    """A reflection group enumerated as exact matrices, in BFS order.
+
+    Element i is the rational matrix ``matrices[i] / denominators[i]``,
+    an integer matrix over a positive integer in lowest terms.
+    ``covectors[i][j]`` is w_i^T G alpha_j scaled to integers, so that
+    w_i x is dominant exactly when every covector has a nonnegative dot
+    product with x (or any positive multiple of x).
+    """
+
+    rs: object
+    matrices: tuple
+    denominators: tuple
+    words: tuple
+    covectors: tuple
+
+
+def _lowest_terms(m, d):
+    g = math.gcd(d, *(c for row in m for c in row))
+    return tuple(tuple(c // g for c in row) for row in m), d // g
+
+
+def matrix_group(rs) -> MatrixGroup:
+    """Enumerate W from the simple roots and the Gram matrix alone.
+
+    Breadth-first closure under right multiplication by the simple
+    reflections I - 2 alpha (G alpha)^T / <alpha, alpha>_G, deduplicating
+    by exact matrix equality; words record the letters in order.
+    """
+    n = len(rs.inner_product)
+    gens = []
+    for alpha in rs.simple_roots:
+        galpha = _matvec(rs.inner_product, alpha)
+        scale = 2 / _dot(alpha, galpha)
+        entries = [
+            [int(a == b) - scale * alpha[a] * galpha[b] for b in range(n)]
+            for a in range(n)
+        ]
+        d = math.lcm(*(c.denominator for row in entries for c in row))
+        gens.append(_lowest_terms([[int(c * d) for c in row] for row in entries], d))
+    ident = (tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
+    elements = [ident]
+    words = [()]
+    seen = {ident}
+    frontier = [0]
+    while frontier:
+        fresh = []
+        for i in frontier:
+            m, d = elements[i]
+            for letter, (g, e) in enumerate(gens):
+                cols = list(zip(*g))
+                prod = _lowest_terms([_int_matvec(cols, row) for row in m], d * e)
+                if prod not in seen:
+                    seen.add(prod)
+                    elements.append(prod)
+                    words.append(words[i] + (letter,))
+                    fresh.append(len(elements) - 1)
+        frontier = fresh
+    galphas = [_integers(_matvec(rs.inner_product, a)) for a in rs.simple_roots]
+    covectors = tuple(
+        tuple(_int_matvec(list(zip(*m)), ga) for ga in galphas) for m, _ in elements
+    )
+    return MatrixGroup(
+        rs,
+        tuple(m for m, _ in elements),
+        tuple(d for _, d in elements),
+        tuple(words),
+        covectors,
+    )
+
+
+def image(group, i, x):
+    """w_i x as exact rationals."""
+    scale = math.lcm(*(Fraction(c).denominator for c in x))
+    xi = tuple(int(Fraction(c) * scale) for c in x)
+    den = group.denominators[i] * scale
+    return tuple(Fraction(c, den) for c in _int_matvec(group.matrices[i], xi))
+
+
+def _dominating(group, xi):
+    """Indices of the elements w with w x dominant, x given as integers."""
+    for i, covs in enumerate(group.covectors):
+        if all(sum(a * b for a, b in zip(c, xi)) >= 0 for c in covs):
+            yield i
+
+
+def _scaled_images(group, points):
+    """w_i p for every element i and point p, as integers; and the scale.
+
+    Every image is multiplied by one common positive integer c, so that
+    equal images give equal integer tuples.  Returns (table, c) with
+    ``table[i][k]`` the scaled image of ``points[k]`` under element i.
+    """
+    scale = math.lcm(*(Fraction(v).denominator for p in points for v in p))
+    ints = [tuple(int(Fraction(v) * scale) for v in p) for p in points]
+    top = math.lcm(*group.denominators)
+    table = [
+        [tuple(v * (top // d) for v in _int_matvec(m, p)) for p in ints]
+        for m, d in zip(group.matrices, group.denominators)
+    ]
+    return table, top * scale
+
+
+def orbit_by_matrices(group, x) -> tuple:
+    """The orbit of x in first-discovery order over the BFS element list."""
+    table, c = _scaled_images(group, [x])
+    firsts = dict.fromkeys(row[0] for row in table)
+    return tuple(tuple(Fraction(v, c) for v in y) for y in firsts)
+
+
+def dominant_by_scan(group, x):
+    """(w x, word of w) for the BFS-first element w with w x dominant."""
+    i = next(_dominating(group, _integers(x)))
+    return image(group, i, x), group.words[i]
+
+
+def vertex_permutations_by_matrices(group, vertices) -> tuple:
+    """How each element permutes a vertex list, by matrix products."""
+    table, c = _scaled_images(group, vertices)
+    where = {tuple(int(Fraction(v) * c) for v in p): k for k, p in enumerate(vertices)}
+    return tuple(tuple(where[y] for y in row) for row in table)
+
+
 def share_chamber_by_enumeration(group, x, y) -> bool:
     """Some group element makes both vectors dominant at once."""
-    rs = group.root_system
-    for w in group.elements:
-        if dominant_by_pairings(rs, _matvec(w, x)) and dominant_by_pairings(
-            rs, _matvec(w, y)
-        ):
-            return True
-    return False
+    yi = _integers(y)
+    return any(
+        all(sum(a * b for a, b in zip(c, yi)) >= 0 for c in group.covectors[i])
+        for i in _dominating(group, _integers(x))
+    )
 
 
 def in_convex_hull(points, target) -> bool:

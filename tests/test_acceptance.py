@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.stats import gamma, special_ortho_group
 
-from oracles import share_chamber_by_enumeration, sym_vertex_mass
+from oracles import matrix_group, share_chamber_by_enumeration, sym_vertex_mass
 from orbitope_lab import facelab, matmodel
 from orbitope_lab import polytope as poly
 from orbitope_lab.cli import main
@@ -134,7 +134,8 @@ def test_criterion_3_chamber_predicate_matches_enumeration():
     disagreements = []
     total = 0
     for label in SYSTEMS:
-        rs, group = system(label)
+        rs, _ = system(label)
+        group = matrix_group(rs)
         d = rs.ambient_dim
         for _ in range(1000):
             x = tuple(

@@ -196,6 +196,16 @@ def test_domain_errors(capsys):
     )
 
 
+def test_bad_paths_are_clean_errors(capsys, tmp_path):
+    error_message(capsys, ["verify", "--system", str(tmp_path), "--x", "1,1"])
+    missing = tmp_path / "no" / "such" / "dir" / "r.json"
+    error_message(
+        capsys,
+        ["describe", "--system", "A2", "--x", "1,0,-1", "--out", str(missing)],
+    )
+    assert not missing.exists()
+
+
 def test_face_budget_flag(capsys):
     status = main(
         ["polytope", "--system", "b3", "--x", "3,2,1", "--face-budget", "10"]

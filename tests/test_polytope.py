@@ -7,6 +7,7 @@ import pytest
 
 from oracles import in_convex_hull
 from orbitope_lab import polytope as poly
+from orbitope_lab.linalg import mat, nullspace, primitive
 from orbitope_lab.rootsys import build_root_system, metric_covector
 from orbitope_lab.weyl import generate, orbit
 
@@ -41,7 +42,7 @@ def test_hexagon_counts():
     assert len(p.facets) == 6
     faces = poly.face_lattice(p)
     assert len(faces) == 13
-    orbits = poly.faces_up_to_group(p, group)
+    orbits = poly.faces_up_to_group(p, poly.vertex_permutations(p, group))
     assert sorted((f.dim, size) for f, size in orbits) == [
         (0, 6),
         (1, 3),
@@ -59,7 +60,7 @@ def test_octagon_counts():
     rs, group, p = orbit_hull("B2", (2, 1))
     assert (p.dim, len(p.vertices), len(p.facets)) == (2, 8, 8)
     assert len(poly.face_lattice(p)) == 17
-    orbits = poly.faces_up_to_group(p, group)
+    orbits = poly.faces_up_to_group(p, poly.vertex_permutations(p, group))
     assert sorted((f.dim, size) for f, size in orbits) == [
         (0, 8),
         (1, 4),
@@ -77,7 +78,7 @@ def test_permutohedron_counts():
     assert p.dim == 3
     assert len(p.vertices) == 24
     assert len(p.facets) == 14
-    orbits = poly.faces_up_to_group(p, group)
+    orbits = poly.faces_up_to_group(p, poly.vertex_permutations(p, group))
     assert len(orbits) == 7
     assert sum(size for _, size in orbits) == len(poly.face_lattice(p)) - 1
 
@@ -87,7 +88,7 @@ def test_regular_b3_counts():
     assert (len(p.vertices), len(p.facets)) == (48, 26)
     faces = poly.face_lattice(p)
     assert len(faces) == 147
-    orbits = poly.faces_up_to_group(p, group)
+    orbits = poly.faces_up_to_group(p, poly.vertex_permutations(p, group))
     assert len(orbits) == 7
     assert sum(size for _, size in orbits) == 146
 
@@ -124,6 +125,38 @@ def test_facets_are_valid_and_tight():
             assert all(val <= c for val in values)
             tight = sum(1 for val in values if val == c)
             assert tight >= p.dim
+
+
+def test_rank4_hulls_have_valid_tight_facets():
+    cases = (
+        ("A4", (1, 1, 0, 0, 0), 10, 10),
+        ("B4", (1, 0, 0, 0), 8, 16),
+        ("F4", (1, 1, 0, 0), 24, 24),
+    )
+    for label, x, n_vertices, n_facets in cases:
+        rs, group, p = orbit_hull(label, x)
+        assert (p.dim, len(p.vertices), len(p.facets)) == (4, n_vertices, n_facets)
+        for nu, c in p.facets:
+            values = [sum(a * b for a, b in zip(nu, v)) for v in p.vertices]
+            assert all(val <= c for val in values)
+            assert sum(1 for val in values if val == c) >= p.dim
+
+
+def test_cross_product_matches_nullspace():
+    rng = random.Random(8)
+    for d in (2, 3, 4, 5):
+        for _ in range(60):
+            rows = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(d - 1)]
+            kernel = nullspace(mat(rows))
+            normal = poly._cross(rows)
+            assert all(sum(a * b for a, b in zip(normal, r)) == 0 for r in rows)
+            if len(kernel) != 1:
+                assert not any(normal)
+                continue
+            assert primitive(normal) in (
+                primitive(kernel[0]),
+                primitive(tuple(-c for c in kernel[0])),
+            )
 
 
 def test_support_and_exposed_face():

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from orbitope_lab.cli import main
 from orbitope_lab.rootsys import (
     build_root_system,
-    chamber_point,
     dominant_with_walls,
     fundamental_coweights,
     is_dominant,
@@ -126,17 +126,6 @@ def test_dominance_and_walls():
         wall_set(rs, (0, 1))
 
 
-def test_chamber_point_sign_data():
-    rs = build_root_system("A2")
-    cp = chamber_point(rs, (2, 0, -2))
-    assert cp.coords == (Fraction(2), Fraction(0), Fraction(-2))
-    assert cp.is_dominant
-    assert set(cp.signs) == {1}
-    cp2 = chamber_point(rs, (0, 2, -2))
-    assert not cp2.is_dominant
-    assert -1 in cp2.signs
-
-
 def test_share_closed_chamber_examples():
     rs = build_root_system("A2")
     assert share_closed_chamber(rs, (2, 0, -2), (1, 1, -2))
@@ -236,3 +225,18 @@ def test_make_root_system_validates():
             (one,),
             inner_product=((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1))),
         )
+
+
+def test_roots_must_be_closed_under_simple_reflections(capsys):
+    # B2 listing only its simple roots: s_2 maps e1 - e2 to e1 + e2
+    partial = "ambient 2\nsimple 1 -1\nsimple 0 1\nroot 1 -1\nroot 0 1\n"
+    with pytest.raises(ValueError, match="closed under the simple reflections"):
+        root_system_from_text(partial)
+    with pytest.raises(ValueError, match="closed under the simple reflections"):
+        make_root_system(((1, -1), (0, 1)), ((1, -1), (0, 1), (1, 0)))
+    full = partial + "root 1 0\nroot 1 1\n"
+    assert len(root_system_from_text(full).positive_roots) == 4
+    for command in ("describe", "polytope", "classify", "verify"):
+        assert main([command, "--system", partial, "--x", "2,1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "closed under" in err

@@ -1,20 +1,33 @@
 """Reflection group generation, orbits, and dominant representatives."""
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import (
+    dominant_by_scan,
+    image,
+    matrix_group,
+    orbit_by_matrices,
+    vertex_permutations_by_matrices,
+)
+from orbitope_lab import polytope as poly
 from orbitope_lab.linalg import identity, matmul, matvec, transpose
-from orbitope_lab.rootsys import build_root_system, is_dominant, pairing
+from orbitope_lab.rootsys import (
+    build_root_system,
+    dominant_with_walls,
+    is_dominant,
+)
 from orbitope_lab.weyl import (
     generate,
     generate_subgroup,
     orbit,
     simple_reflection,
-    stabilizer,
     to_dominant,
-    average,
 )
 
 ORDERS = {
@@ -30,6 +43,41 @@ ORDERS = {
     "G2": 12,
     "F4": 1152,
 }
+
+# G2 in simple-root coordinates with an extra direction; the Gram matrix
+# couples that direction to the roots, so the part of a point the group
+# fixes is not a coordinate axis.
+SKEW_G2 = """label g2-skew
+ambient 3
+gram 2 -3 1 -3 6 0 1 0 5
+simple 1 0 0
+simple 0 1 0
+root 1 0 0
+root 0 1 0
+root 1 1 0
+root 2 1 0
+root 3 1 0
+root 3 2 0
+"""
+
+ORACLE_SYSTEMS = (
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "BC3", "G2",
+    "F4", SKEW_G2,
+)
+
+
+@functools.lru_cache(maxsize=None)
+def groups(spec):
+    rs = build_root_system(spec)
+    return rs, generate(rs), matrix_group(rs)
+
+
+def apply_word(rs, word, x):
+    """s_{w_1} ... s_{w_k} x, the rightmost letter acting first."""
+    y = tuple(Fraction(c) for c in x)
+    for letter in reversed(word):
+        y = matvec(simple_reflection(rs, letter), y)
+    return y
 
 
 def test_group_orders():
@@ -50,21 +98,23 @@ def test_simple_reflections_are_isometric_involutions():
 
 
 def test_identity_is_first_with_empty_word():
-    group = generate(build_root_system("B2"))
-    assert group.elements[0] == identity(2)
+    rs = build_root_system("B2")
+    group = generate(rs)
+    assert group.perms[0] == tuple(range(len(rs.roots)))
     assert group.words[0] == ()
 
 
 def test_words_are_geodesic_and_unique():
     group = generate(build_root_system("G2"))
-    assert len(set(group.elements)) == group.order
+    assert len(set(group.perms)) == group.order
     assert len(set(group.words)) == group.order
-    for element, word in zip(group.elements, group.words):
-        # applying the letters reproduces the element
-        acc = identity(group.root_system.ambient_dim)
+    letters = {w[0]: p for p, w in zip(group.perms, group.words) if len(w) == 1}
+    for perm, word in zip(group.perms, group.words):
+        # composing the letters' permutations reproduces the element
+        acc = group.perms[0]
         for letter in word:
-            acc = matmul(acc, simple_reflection(group.root_system, letter))
-        assert acc == element
+            acc = tuple(acc[j] for j in letters[letter])
+        assert acc == perm
     lengths = [len(w) for w in group.words]
     assert lengths == sorted(lengths)
 
@@ -77,12 +127,11 @@ def test_order_cap_enforced():
 def test_orbit_and_stabilizer_sizes_multiply():
     rng = random.Random(5)
     for label in ("A2", "B2", "B3", "G2"):
-        rs = build_root_system(label)
-        group = generate(rs)
+        rs, group, oracle = groups(label)
         for _ in range(5):
             x = tuple(Fraction(rng.randint(-3, 3)) for _ in range(rs.ambient_dim))
             points = orbit(group, x)
-            stab = stabilizer(group, x)
+            stab = [i for i in range(group.order) if image(oracle, i, x) == x]
             assert len(points) * len(stab) == group.order
 
 
@@ -100,7 +149,7 @@ def test_to_dominant_examples():
     res = to_dominant(group, (-2, 0, 2))
     assert res.vector == (Fraction(2), Fraction(0), Fraction(-2))
     assert res.word == (0, 1, 0)
-    assert matvec(res.element, (-2, 0, 2)) == res.vector
+    assert apply_word(rs, res.word, (-2, 0, 2)) == res.vector
     assert to_dominant(group, (2, 0, -2)).word == ()
     rs2 = build_root_system("B2")
     group2 = generate(rs2)
@@ -119,8 +168,14 @@ def test_to_dominant_always_lands_in_chamber():
             )
             res = to_dominant(group, x)
             assert is_dominant(rs, res.vector)
-            assert matvec(res.element, x) == res.vector
+            assert apply_word(rs, res.word, x) == res.vector
             assert res.vector in orbit(group, x)
+
+
+def test_to_dominant_rejects_proper_subgroup():
+    rs = build_root_system("A2")
+    with pytest.raises(ValueError):
+        to_dominant(generate_subgroup(rs, (0,)), (-2, 0, 2))
 
 
 def test_parabolic_subgroup_generation():
@@ -128,20 +183,56 @@ def test_parabolic_subgroup_generation():
     group = generate_subgroup(rs, (0,))
     assert group.order == 2
     full = generate(rs)
-    assert set(group.elements) <= set(full.elements)
+    assert set(group.perms) <= set(full.perms)
     empty = generate_subgroup(rs, ())
     assert empty.order == 1
 
 
-def test_average_is_invariant():
-    rng = random.Random(3)
-    for label in ("A2", "B2", "G2"):
-        rs = build_root_system(label)
-        group = generate(rs)
-        for _ in range(5):
-            x = tuple(Fraction(rng.randint(-4, 4)) for _ in range(rs.ambient_dim))
-            avg = average(group, x)
-            for w in group.generators:
-                assert matvec(w, avg) == avg
-            for alpha in rs.simple_roots:
-                assert pairing(rs, alpha, avg) == 0
+def wall_points(rs):
+    """The zero vector and a dominant point on every wall pattern."""
+    points = [(Fraction(0),) * rs.ambient_dim]
+    for mask in range(1 << rs.rank):
+        rep = dominant_with_walls(
+            rs, [i for i in range(rs.rank) if mask >> i & 1]
+        )
+        if rep is not None:
+            points.append(rep)
+    return points
+
+
+@pytest.mark.parametrize("spec", ORACLE_SYSTEMS, ids=lambda s: s.split("\n")[0])
+def test_group_matches_matrix_oracle(spec):
+    rs, group, oracle = groups(spec)
+    assert group.order == len(oracle.matrices)
+    assert group.words == oracle.words
+    roots = rs.roots
+    for i, perm in enumerate(group.perms):
+        for alpha in rs.simple_roots:
+            assert roots[perm[roots.index(alpha)]] == image(oracle, i, alpha)
+    rng = random.Random(spec)
+    hulls = 0
+    for x in wall_points(rs):
+        images = orbit_by_matrices(oracle, x)
+        assert orbit(group, x) == images
+        for y in [x] + rng.sample(images, min(6, len(images))):
+            dom = to_dominant(group, y)
+            assert (dom.vector, dom.word) == dominant_by_scan(oracle, y)
+        if any(x) and len(images) <= 24 and hulls < 2:
+            hulls += 1
+            p = poly.hull(images)
+            expected = vertex_permutations_by_matrices(oracle, p.vertices)
+            assert poly.vertex_permutations(p, group) == expected
+    assert hulls > 0
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.sampled_from(("A3", "B3", "G2", "BC3", SKEW_G2)),
+    st.lists(st.fractions(-6, 6, max_denominator=4), min_size=4, max_size=4),
+)
+def test_to_dominant_matches_matrix_oracle(spec, coords):
+    rs, group, oracle = groups(spec)
+    x = tuple(coords[: rs.ambient_dim])
+    dom = to_dominant(group, x)
+    assert (dom.vector, dom.word) == dominant_by_scan(oracle, x)
+    assert orbit(group, x) == orbit_by_matrices(oracle, x)
