@@ -143,10 +143,21 @@ def cmd_describe(args) -> tuple[int, dict]:
     return 0, report
 
 
-def _orbit_polytope(rs, group, x):
+def _moved_dominant(rs, group, x):
+    """The dominant representative of an x that the group moves.
+
+    Every simple root vanishes on x = 0 and on an x orthogonal to the
+    roots; the group fixes such an x, so its orbit polytope is one point
+    with no proper faces, and it is rejected.
+    """
     dom = weyl.to_dominant(group, x)
-    if all(c == 0 for c in dom.vector):
-        raise CliError("x is zero; the orbit polytope is a single point")
+    if len(rootsys.wall_set(rs, dom.vector)) == rs.rank:
+        raise CliError("every root vanishes on x; its orbit polytope is a single point")
+    return dom
+
+
+def _orbit_polytope(rs, group, x):
+    dom = _moved_dominant(rs, group, x)
     return dom, poly.hull(weyl.orbit(group, dom.vector))
 
 
@@ -155,13 +166,13 @@ def cmd_polytope(args) -> tuple[int, dict]:
     x = _resolve_x(args, rs)
     group = weyl.generate(rs)
     dom, hull = _orbit_polytope(rs, group, x)
-    faces = poly.face_lattice(hull, budget=args.face_budget)
     orbits = poly.faces_up_to_group(
         hull, poly.vertex_permutations(hull, group), budget=args.face_budget
     )
-    by_dim = {}
-    for face in faces:
-        by_dim[face.dim] = by_dim.get(face.dim, 0) + 1
+    # the proper faces, orbit by orbit, then the polytope itself
+    by_dim = {hull.dim: 1}
+    for face, size in orbits:
+        by_dim[face.dim] = by_dim.get(face.dim, 0) + size
     report = {
         "schema": SCHEMA,
         "command": "polytope",
@@ -170,7 +181,7 @@ def cmd_polytope(args) -> tuple[int, dict]:
         "dim": hull.dim,
         "vertex_count": len(hull.vertices),
         "facet_count": len(hull.facets),
-        "face_count": len(faces),
+        "face_count": sum(by_dim.values()),
         "faces_by_dim": {str(d): by_dim[d] for d in sorted(by_dim)},
         "face_orbits": [
             {
@@ -189,9 +200,7 @@ def cmd_classify(args) -> tuple[int, dict]:
     rs, _ = _resolve_system(args)
     x = _resolve_x(args, rs)
     group = weyl.generate(rs)
-    dom = weyl.to_dominant(group, x)
-    if all(c == 0 for c in dom.vector):
-        raise CliError("x is zero; there are no proper face classes")
+    dom = _moved_dominant(rs, group, x)
     descriptors = facelab.classify_faces(rs, group, dom.vector)
     report = {
         "schema": SCHEMA,

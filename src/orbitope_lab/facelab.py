@@ -21,13 +21,12 @@ from itertools import combinations
 
 from . import polytope as poly
 from . import weyl
-from .linalg import Vec, mat, rank, vec, vec_add, vec_sub, zeros
+from .linalg import Vec, dot, mat, rank, vec, vec_add, vec_sub, zeros
 from .rootsys import (
     RootSystem,
     fundamental_coweights,
     is_dominant,
     metric_covector,
-    pairing,
     root_support,
 )
 
@@ -88,11 +87,7 @@ def _components(rs: RootSystem, indices):
         todo.discard(seed)
         while frontier:
             i = frontier.pop()
-            linked = [
-                j
-                for j in todo
-                if pairing(rs, rs.simple_roots[i], rs.simple_roots[j]) != 0
-            ]
+            linked = [j for j in todo if rs.simple_gram[i][j] != 0]
             for j in linked:
                 todo.discard(j)
                 comp.add(j)
@@ -109,7 +104,7 @@ def is_x_connected(rs: RootSystem, indices, x) -> bool:
     subset = _check_subset(rs, indices)
     xv = vec(x)
     return all(
-        any(pairing(rs, rs.simple_roots[i], xv) != 0 for i in comp)
+        any(dot(rs.simple_covectors[i], xv) != 0 for i in comp)
         for comp in _components(rs, subset)
     )
 
@@ -129,11 +124,9 @@ def saturation(rs: RootSystem, indices, x) -> frozenset:
     for j in range(rs.rank):
         if j in base:
             continue
-        if pairing(rs, rs.simple_roots[j], xv) != 0:
+        if dot(rs.simple_covectors[j], xv) != 0:
             continue
-        if all(
-            pairing(rs, rs.simple_roots[j], rs.simple_roots[i]) == 0 for i in base
-        ):
+        if all(rs.simple_gram[j][i] == 0 for i in base):
             extra.add(j)
     return base | extra
 
@@ -148,7 +141,7 @@ def largest_x_connected_subset(rs: RootSystem, indices, x) -> frozenset:
     subset = _check_subset(rs, indices)
     keep = set()
     for comp in _components(rs, subset):
-        if any(pairing(rs, rs.simple_roots[i], xv) != 0 for i in comp):
+        if any(dot(rs.simple_covectors[i], xv) != 0 for i in comp):
             keep |= comp
     return frozenset(keep)
 
@@ -165,8 +158,8 @@ def canonical_beta(rs: RootSystem, subset_j) -> Vec:
     for i in range(rs.rank):
         if i not in walls:
             beta = vec_add(beta, coweights[i])
-    for i in range(rs.rank):
-        value = pairing(rs, rs.simple_roots[i], beta)
+    for i, c in enumerate(rs.simple_covectors):
+        value = dot(c, beta)
         if i in walls and value != 0:
             raise ValueError("coweight sum fails to vanish on J")
         if i not in walls and value <= 0:
@@ -208,8 +201,8 @@ def classify_faces(rs: RootSystem, group: weyl.WeylGroup, x) -> tuple:
     if not is_dominant(rs, xv):
         raise ValueError("x is not dominant; apply weyl.to_dominant first")
 
-    positives = list(zip(rs.positive_roots, rs.positive_multiplicities))
-    supports = [root_support(rs, lam) for lam, _ in positives]
+    positives = list(zip(rs.covectors, rs.positive_multiplicities))
+    supports = [root_support(rs, lam) for lam in rs.positive_roots]
     total_mult = sum(m for _, m in positives)
     out = []
     for size in range(rs.rank):
@@ -229,9 +222,7 @@ def classify_faces(rs: RootSystem, group: weyl.WeylGroup, x) -> tuple:
                 dim_sigma = rank(mat([vec_sub(p, base) for p in sigma[1:]]))
             inside = [i for i, s in enumerate(supports) if s <= sat]
             dim_ext = sum(
-                positives[i][1]
-                for i in inside
-                if pairing(rs, positives[i][0], xv) != 0
+                positives[i][1] for i in inside if dot(positives[i][0], xv) != 0
             )
             mult_inside = sum(positives[i][1] for i in inside)
             out.append(

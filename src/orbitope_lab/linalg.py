@@ -60,10 +60,6 @@ def dot(u: Vec, v: Vec) -> Fraction:
     return sum((x * y for x, y in zip(u, v, strict=True)), ZERO)
 
 
-def is_zero_vec(v: Vec) -> bool:
-    return all(x == 0 for x in v)
-
-
 def matvec(a: Mat, v: Vec) -> Vec:
     return tuple(dot(row, v) for row in a)
 

@@ -35,14 +35,13 @@ from scipy.linalg import expm
 
 from . import polytope as poly
 from .facelab import FaceDescriptor
-from .linalg import Mat, Vec, frac, inverse, mat, nullspace, vec
+from .linalg import Mat, Vec, dot, frac, inverse, mat, nullspace, vec
 from .rootsys import (
     RootSystem,
     build_root_system,
     is_dominant,
     make_root_system,
     metric_covector,
-    pairing,
     share_closed_chamber,
 )
 from .weyl import to_dominant
@@ -223,7 +222,6 @@ class _RootSpaces(NamedTuple):
     pairs: list
     basis_mats: np.ndarray
     block_slices: list
-    block_roots: list
     zero_slice: slice
     from_coords: np.ndarray
 
@@ -287,9 +285,8 @@ def _root_spaces(model: MatrixModel) -> _RootSpaces:
                 )
             )
 
-    def block_for(lam):
-        lam_vals = [pairing(rs, lam, _unit_vec(r, rs.ambient_dim)) for r in
-                    range(rs.ambient_dim)]
+    def block_for(lam_vals):
+        # lambda(e_r) = (G lambda)_r
         stacked = []
         for (r, s), op in double.items():
             target = sign * lam_vals[r] * lam_vals[s]
@@ -302,9 +299,8 @@ def _root_spaces(model: MatrixModel) -> _RootSpaces:
     order = []
     start = 0
     block_slices = []
-    block_roots = []
-    for lam, mult in zip(rs.positive_roots, rs.positive_multiplicities):
-        space = block_for(lam)
+    for lam_vals, mult in zip(rs.covectors, rs.positive_multiplicities):
+        space = block_for(lam_vals)
         if len(space) != mult:
             raise ValueError(
                 f"root-space dimension {len(space)} does not match the "
@@ -312,7 +308,6 @@ def _root_spaces(model: MatrixModel) -> _RootSpaces:
             )
         order.extend(space)
         block_slices.append(slice(start, start + mult))
-        block_roots.append(lam)
         start += mult
 
     stacked = [row for op in single for row in op]
@@ -340,14 +335,9 @@ def _root_spaces(model: MatrixModel) -> _RootSpaces:
         pairs=pairs,
         basis_mats=basis_mats,
         block_slices=block_slices,
-        block_roots=block_roots,
         zero_slice=zero_slice,
         from_coords=from_coords,
     )
-
-
-def _unit_vec(r: int, dim: int) -> Vec:
-    return tuple(frac(1 if k == r else 0) for k in range(dim))
 
 
 def _haar_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -552,11 +542,11 @@ def hessian_closed_form(model: MatrixModel, x_cartan, beta_cartan, xi: np.ndarra
     coords = np.array([xi[i, j] for (i, j) in spaces.pairs])
     weights = spaces.from_coords @ coords
     total = 0.0
-    for lam, block in zip(spaces.block_roots, spaces.block_slices):
-        lam_x = pairing(rs, lam, x)
+    for lam, block in zip(rs.covectors, spaces.block_slices, strict=True):
+        lam_x = dot(lam, x)
         if lam_x == 0:
             continue
-        lam_beta = pairing(rs, lam, beta)
+        lam_beta = dot(lam, beta)
         xi_lam = np.tensordot(weights[block], spaces.basis_mats[block], axes=1)
         z = base @ xi_lam - xi_lam @ base
         total -= float(lam_beta) * float(np.sum(z * z)) / float(lam_x)
@@ -690,8 +680,8 @@ def ext_face_dim_check(
     spaces = _root_spaces(model)
     base = embed(model, x)
     members = list(range(spaces.zero_slice.start, spaces.zero_slice.stop))
-    for lam, block in zip(spaces.block_roots, spaces.block_slices):
-        if pairing(rs, lam, beta) == 0:
+    for lam, block in zip(rs.covectors, spaces.block_slices, strict=True):
+        if dot(lam, beta) == 0:
             members.extend(range(block.start, block.stop))
     if not members:
         return ExtDimResult(numeric_dim=0, predicted_dim=descriptor.dim_extF)

@@ -6,6 +6,13 @@ bilinear form on the ambient coordinate space (the Gram matrix, identity by
 default).  Root/vector pairings go through that form, so a root acts on a
 vector as ``lambda(v) = <lambda, v>_G``.
 
+Each root system computes its pairing data once, on first use, and every
+other module reads it from there: ``roots``, the covector ``G lambda`` of
+each positive root (so ``lambda(v)`` is one plain dot product),
+``simple_positions``, the simple-root Gram matrix and its inverse.  This
+module is the only one that multiplies by the Gram matrix; ``pairing`` and
+``metric_covector`` do it for vectors that are not roots.
+
 Built-in catalog (all with the plain dot product, multiplicity 1):
 
 * ``A<n>``   in the sum-zero hyperplane of (n+1)-space,
@@ -71,12 +78,38 @@ class RootSystem:
     def rank(self) -> int:
         return len(self.simple_roots)
 
-    @property
+    @functools.cached_property
     def roots(self) -> tuple:
         """All roots, positive then negative, in matching order."""
         return self.positive_roots + tuple(
             vec_scale(-1, r) for r in self.positive_roots
         )
+
+    @functools.cached_property
+    def covectors(self) -> tuple:
+        """G lambda for each positive root lambda: lambda(v) = covectors[k] . v."""
+        return tuple(matvec(self.inner_product, r) for r in self.positive_roots)
+
+    @functools.cached_property
+    def simple_positions(self) -> tuple:
+        """Index of each simple root in ``positive_roots`` (and in ``roots``)."""
+        return tuple(self.positive_roots.index(a) for a in self.simple_roots)
+
+    @functools.cached_property
+    def simple_covectors(self) -> tuple:
+        """G alpha_i for each simple root, in order."""
+        return tuple(self.covectors[k] for k in self.simple_positions)
+
+    @functools.cached_property
+    def simple_gram(self) -> Mat:
+        """<alpha_i, alpha_j>_G over the simple roots (a symmetrized Cartan matrix)."""
+        return tuple(
+            tuple(dot(c, a) for a in self.simple_roots) for c in self.simple_covectors
+        )
+
+    @functools.cached_property
+    def simple_gram_inverse(self) -> Mat:
+        return inverse(self.simple_gram)
 
 
 def pairing(rs: RootSystem, lam: Vec, v: Vec) -> Fraction:
@@ -88,11 +121,10 @@ def pairing(rs: RootSystem, lam: Vec, v: Vec) -> Fraction:
     return dot(lam, matvec(rs.inner_product, v))
 
 
-def reflect(rs: RootSystem, alpha: Vec, v: Vec) -> Vec:
-    """Reflection in alpha: v - 2 <alpha, v>_G / <alpha, alpha>_G * alpha."""
-    galpha = metric_covector(rs, alpha)
-    c = 2 * dot(galpha, v) / dot(galpha, alpha)
-    return tuple(x - c * a for x, a in zip(v, alpha, strict=True))
+def reflect(rs: RootSystem, index: int, v: Vec) -> Vec:
+    """Reflection in the index-th simple root a: v - 2 a(v) / <a, a>_G * a."""
+    c = 2 * dot(rs.simple_covectors[index], v) / rs.simple_gram[index][index]
+    return tuple(x - c * a for x, a in zip(v, rs.simple_roots[index], strict=True))
 
 
 def metric_covector(rs: RootSystem, v: Vec) -> Vec:
@@ -112,19 +144,19 @@ def share_closed_chamber(rs: RootSystem, x, y) -> bool:
     This is the exact combinatorial test for x and y lying in a common
     closed Weyl chamber.
     """
-    gx, gy = metric_covector(rs, x), metric_covector(rs, y)
-    return all(dot(lam, gx) * dot(lam, gy) >= 0 for lam in rs.positive_roots)
+    xv, yv = vec(x), vec(y)
+    return all(dot(c, xv) * dot(c, yv) >= 0 for c in rs.covectors)
 
 
 def is_dominant(rs: RootSystem, x) -> bool:
     xv = vec(x)
-    return all(pairing(rs, a, xv) >= 0 for a in rs.simple_roots)
+    return all(dot(c, xv) >= 0 for c in rs.simple_covectors)
 
 
 def wall_set(rs: RootSystem, x) -> frozenset:
     """Indices of the simple roots vanishing on a dominant x."""
     xv = vec(x)
-    vals = [pairing(rs, a, xv) for a in rs.simple_roots]
+    vals = [dot(c, xv) for c in rs.simple_covectors]
     if any(v < 0 for v in vals):
         raise ValueError("x is not dominant; apply weyl.to_dominant first")
     return frozenset(i for i, v in enumerate(vals) if v == 0)
@@ -147,7 +179,6 @@ def root_support(rs: RootSystem, root) -> frozenset:
     return frozenset(i for i, c in enumerate(simple_coefficients(rs, root)) if c != 0)
 
 
-@functools.lru_cache(maxsize=None)
 def fundamental_coweights(rs: RootSystem) -> tuple:
     """Basis of span(simple roots) dual to the simple coroots.
 
@@ -155,18 +186,12 @@ def fundamental_coweights(rs: RootSystem) -> tuple:
     <alpha_i, w_i>_G = <alpha_i, alpha_i>_G / 2, i.e. the coroot pairing
     <alpha_j^v, w_i> equals delta_ij.
     """
-    k = rs.rank
-    gram = tuple(
-        tuple(pairing(rs, rs.simple_roots[i], rs.simple_roots[j]) for j in range(k))
-        for i in range(k)
-    )
-    gram_inv = inverse(gram)
     coweights = []
-    for i in range(k):
-        scale = pairing(rs, rs.simple_roots[i], rs.simple_roots[i]) / 2
+    for i, row in enumerate(rs.simple_gram_inverse):
+        scale = rs.simple_gram[i][i] / 2
         w = (frac(0),) * rs.ambient_dim
-        for j in range(k):
-            w = vec_add(w, vec_scale(scale * gram_inv[i][j], rs.simple_roots[j]))
+        for c, alpha in zip(row, rs.simple_roots):
+            w = vec_add(w, vec_scale(scale * c, alpha))
         coweights.append(w)
     return tuple(coweights)
 
@@ -184,9 +209,7 @@ def dominant_with_walls(rs: RootSystem, wall_indices):
     if any(i < 0 or i >= rs.rank for i in walls):
         raise ValueError("wall index out of range")
     if len(walls) == rs.rank:
-        kernel = nullspace(
-            tuple(matvec(rs.inner_product, a) for a in rs.simple_roots)
-        )
+        kernel = nullspace(rs.simple_covectors)
         if not kernel:
             return None
         return vec(primitive(kernel[0]))
@@ -237,8 +260,8 @@ def _validate(rs: RootSystem) -> RootSystem:
         if a not in pos:
             raise ValueError("every simple root must be listed as a positive root")
     roots = set(rs.roots)
-    for a in rs.simple_roots:
-        if any(reflect(rs, a, r) not in roots for r in rs.positive_roots):
+    for i in range(rs.rank):
+        if any(reflect(rs, i, r) not in roots for r in rs.positive_roots):
             raise ValueError("the roots are not closed under the simple reflections")
     return rs
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .linalg import Mat, Vec, dot, identity, inverse, matmul, matvec, transpose, vec
-from .rootsys import RootSystem, metric_covector, pairing, reflect
+from .linalg import Mat, Vec, dot, matvec, vec
+from .rootsys import RootSystem, reflect
 
 DEFAULT_ORDER_CAP = 51840
 
@@ -47,8 +47,8 @@ class WeylGroup:
 def simple_reflection(rs: RootSystem, index: int) -> Mat:
     """Exact matrix of the reflection in the index-th simple root."""
     alpha = rs.simple_roots[index]
-    galpha = matvec(rs.inner_product, alpha)
-    scale = 2 / pairing(rs, alpha, alpha)
+    galpha = rs.simple_covectors[index]
+    scale = 2 / rs.simple_gram[index][index]
     n = rs.ambient_dim
     return tuple(
         tuple(int(a == b) - scale * alpha[a] * galpha[b] for b in range(n))
@@ -58,9 +58,8 @@ def simple_reflection(rs: RootSystem, index: int) -> Mat:
 
 def point_permutation(rs: RootSystem, index: int, points) -> tuple:
     """How the index-th simple reflection permutes a point list, or ValueError."""
-    alpha = rs.simple_roots[index]
     where = {p: k for k, p in enumerate(points)}
-    image = tuple(where.get(reflect(rs, alpha, p)) for p in points)
+    image = tuple(where.get(reflect(rs, index, p)) for p in points)
     if None in image:
         raise ValueError("the group does not preserve the point set")
     return image
@@ -78,14 +77,6 @@ def generate_subgroup(
     gen_idx = tuple(sorted(set(int(i) for i in generator_indices)))
     if any(i < 0 or i >= rs.rank for i in gen_idx):
         raise ValueError("generator index out of range")
-    ident = identity(rs.ambient_dim)
-    gram = rs.inner_product
-    for i in gen_idx:
-        g = simple_reflection(rs, i)
-        if matmul(g, g) != ident:
-            raise ValueError("simple reflection is not an involution (bad root data)")
-        if matmul(matmul(transpose(g), gram), g) != gram:
-            raise ValueError("simple reflection does not preserve the inner product")
     roots = rs.roots
     gens = [point_permutation(rs, i, roots) for i in gen_idx]
     perms = [tuple(range(len(roots)))]
@@ -129,12 +120,13 @@ def orbit(group: WeylGroup, x) -> tuple:
     rs = group.root_system
     xv = vec(x)
     simples = rs.simple_roots
-    gram = tuple(tuple(pairing(rs, a, b) for b in simples) for a in simples)
-    coeffs = matvec(inverse(gram), tuple(pairing(rs, a, xv) for a in simples))
+    coeffs = matvec(
+        rs.simple_gram_inverse, tuple(dot(c, xv) for c in rs.simple_covectors)
+    )
     fixed = [t - sum(c * a[j] for c, a in zip(coeffs, simples))
              for j, t in enumerate(xv)]
     roots = rs.roots
-    parts = [(roots.index(a), c) for a, c in zip(simples, coeffs) if c]
+    parts = [(k, c) for k, c in zip(rs.simple_positions, coeffs) if c]
     scale = math.lcm(
         *(t.denominator for t in fixed),
         math.lcm(*(c.denominator for _, c in parts))
@@ -173,17 +165,13 @@ def to_dominant(group: WeylGroup, x) -> DominantResult:
     """
     rs = group.root_system
     y = vec(x)
-    # <alpha_i, y>_G = covectors[i] . y, and reflecting in alpha_i
-    # subtracts (covectors[i] . y / halves[i]) alpha_i
-    covectors = [metric_covector(rs, a) for a in rs.simple_roots]
-    halves = [dot(a, c) / 2 for a, c in zip(rs.simple_roots, covectors)]
+    covectors = rs.simple_covectors
     # BFS lists the generators right after the identity, in index order.
     gens = dict(zip(group.generator_indices, group.perms[1:]))
     inv = group.perms[0]
     while negative := [i for i in gens if dot(covectors[i], y) < 0]:
         i = negative[0]
-        c = dot(covectors[i], y) / halves[i]
-        y = tuple(t - c * a for t, a in zip(y, rs.simple_roots[i]))
+        y = reflect(rs, i, y)
         inv = tuple([inv[j] for j in gens[i]])
     if any(dot(cov, y) < 0 for cov in covectors):
         raise ValueError(
@@ -191,7 +179,7 @@ def to_dominant(group: WeylGroup, x) -> DominantResult:
             "full Weyl group of the root system"
         )
     positives = len(rs.positive_roots)
-    simple_ids = {i: rs.positive_roots.index(rs.simple_roots[i]) for i in gens}
+    simple_ids = {i: rs.simple_positions[i] for i in gens}
     word = []
     while descents := [i for i, k in simple_ids.items() if inv[k] >= positives]:
         word.append(descents[0])

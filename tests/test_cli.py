@@ -1,11 +1,14 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import orbitope_lab
+from orbitope_lab import polytope as poly
 from orbitope_lab.cli import main
 
 
@@ -61,6 +64,49 @@ def test_polytope_counts(capsys):
     assert report["faces_by_dim"] == {"0": 6, "1": 6, "2": 1}
     assert len(report["face_orbits"]) == 3
     assert len(report["vertices"]) == 6
+
+
+def test_polytope_builds_the_face_lattice_once(capsys, monkeypatch):
+    lattices = []
+    face_lattice = poly.face_lattice
+
+    def counted(*args, **kwargs):
+        lattices.append(face_lattice(*args, **kwargs))
+        return lattices[-1]
+
+    monkeypatch.setattr(poly, "face_lattice", counted)
+    status, report = run_json(capsys, ["polytope", "--system", "b3", "--x", "3,2,1"])
+    assert status == 0
+    assert len(lattices) == 1
+    faces = lattices[0]
+    assert report["face_count"] == len(faces) == 147
+    by_dim = {}
+    for face in faces:
+        by_dim[str(face.dim)] = by_dim.get(str(face.dim), 0) + 1
+    assert report["faces_by_dim"] == by_dim == {"0": 48, "1": 72, "2": 26, "3": 1}
+
+
+# A1 in a plane whose Gram matrix couples the second axis to the root:
+# the root vanishes on (1, -1), which is not a coordinate axis.
+COUPLED_A1 = """ambient 2
+gram 1 1 1 2
+simple 1 0
+root 1 0
+"""
+
+
+@pytest.mark.parametrize(
+    "system, x",
+    [("a2", "1,1,1"), ("a2", "0,0,0"), (COUPLED_A1, "1,-1")],
+)
+def test_points_every_root_vanishes_on(capsys, system, x):
+    for command in ("polytope", "classify", "verify"):
+        err = error_message(capsys, [command, "--system", system, "--x", x])
+        assert "every root vanishes on x" in err
+    status, report = run_json(capsys, ["describe", "--system", system, "--x", x])
+    assert status == 0
+    assert report["orbit_size"] == 1
+    assert len(report["wall_set"]) == report["system"]["rank"]
 
 
 def test_classify_counts(capsys):
@@ -216,10 +262,14 @@ def test_face_budget_flag(capsys):
 
 
 def test_module_entry_point():
+    # the child finds the package where this process does, installed or not
+    src = os.path.dirname(os.path.dirname(orbitope_lab.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "orbitope_lab", "describe", "--system", "a1", "--x", "1,-1"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["system"]["weyl_order"] == 2

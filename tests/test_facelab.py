@@ -4,15 +4,18 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orbitope_lab import facelab
 from orbitope_lab import polytope as poly
 from orbitope_lab.rootsys import (
     build_root_system,
     dominant_with_walls,
+    fundamental_coweights,
     pairing,
 )
-from orbitope_lab.linalg import matvec
+from orbitope_lab.linalg import matvec, vec_add, vec_scale, zeros
 from orbitope_lab.weyl import (
     generate,
     generate_subgroup,
@@ -250,3 +253,33 @@ def test_sigma_vertices_are_parabolic_orbit():
         expected = {apply_word(rs, word, x) for word in sub.words}
         assert set(d.sigma_vertices) == expected
         assert set(d.sigma_vertices) <= set(p.vertices)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    st.sampled_from(("A2", "B2", "BC2", "G2", "A3")),
+    st.lists(st.integers(0, 3), min_size=3, max_size=3),
+    st.fractions(Fraction(1, 4), 4, max_denominator=5),
+    st.integers(0, 10**6),
+)
+def test_classification_invariant_under_scaling_and_group_moves(
+    label, coeffs, q, pick
+):
+    rs, group = system(label)
+    assume(any(coeffs[: rs.rank]))
+    x = zeros(rs.ambient_dim)
+    for c, w in zip(coeffs, fundamental_coweights(rs)):
+        x = vec_add(x, vec_scale(c, w))
+    descriptors = facelab.classify_faces(rs, group, x)
+    scaled = facelab.classify_faces(rs, group, vec_scale(q, x))
+    assert len(scaled) == len(descriptors)
+    for d, e in zip(descriptors, scaled):
+        assert dataclasses.replace(e, sigma_vertices=()) == dataclasses.replace(
+            d, sigma_vertices=()
+        )
+        assert e.sigma_vertices == tuple(vec_scale(q, p) for p in d.sigma_vertices)
+    moved = apply_word(rs, group.words[pick % group.order], x)
+    assert (
+        facelab.verify_bijection(rs, group, moved).records
+        == facelab.verify_bijection(rs, group, x).records
+    )

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orbitope_lab.cli import main
+from orbitope_lab.linalg import det, identity, inverse, matmul, matvec, transpose
 from orbitope_lab.rootsys import (
     build_root_system,
     dominant_with_walls,
@@ -14,6 +17,7 @@ from orbitope_lab.rootsys import (
     make_root_system,
     metric_covector,
     pairing,
+    reflect,
     root_support,
     root_system_from_text,
     root_system_to_text,
@@ -21,6 +25,7 @@ from orbitope_lab.rootsys import (
     simple_coefficients,
     wall_set,
 )
+from orbitope_lab.weyl import simple_reflection
 
 CATALOG = {
     # label: (rank, ambient_dim, positive root count)
@@ -240,3 +245,79 @@ def test_roots_must_be_closed_under_simple_reflections(capsys):
         assert main([command, "--system", partial, "--x", "2,1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "closed under" in err
+
+
+def transformed_text(label, m, coupling):
+    """Text for label's roots pushed through m, with G = m^-T m^-1.
+
+    That G keeps every pairing of the catalog system.  A coupling vector
+    adds one more ambient direction that G couples to the roots.
+    """
+    rs = build_root_system(label)
+    m_inv = inverse(m)
+    gram = matmul(transpose(m_inv), m_inv)
+    pad = ()
+    if coupling is not None:
+        c = tuple(Fraction(t) for t in coupling)
+        corner = sum(a * b for a, b in zip(c, matvec(inverse(gram), c))) + 1
+        gram = tuple(row + (t,) for row, t in zip(gram, c)) + (c + (corner,),)
+        pad = (0,)
+    flat = " ".join(str(t) for row in gram for t in row)
+    lines = [f"ambient {len(gram)}", f"gram {flat}"]
+    for key, roots in (("simple", rs.simple_roots), ("root", rs.positive_roots)):
+        for r in roots:
+            lines.append(key + " " + " ".join(str(t) for t in matvec(m, r) + pad))
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    st.sampled_from(("A2", "B2", "BC2", "G2", "A3", "B3", "C3")),
+    st.lists(st.integers(-2, 2), min_size=16, max_size=16),
+    st.one_of(st.none(), st.lists(st.integers(-2, 2), min_size=4, max_size=4)),
+    st.lists(st.fractions(-3, 3, max_denominator=3), min_size=5, max_size=5),
+)
+def test_cached_pairing_data_matches_the_gram_matrix(label, entries, coupling, v):
+    catalog = build_root_system(label)
+    d = catalog.ambient_dim
+    m = tuple(tuple(Fraction(t) for t in entries[i * d:(i + 1) * d]) for i in range(d))
+    assume(det(m) != 0)
+    if coupling is not None:
+        coupling = coupling[:d]
+    rs = build_root_system(transformed_text(label, m, coupling))
+    g = rs.inner_product
+    n = rs.ambient_dim
+
+    def form(u, w):
+        return sum(u[i] * g[i][j] * w[j] for i in range(n) for j in range(n))
+
+    def cov(u):
+        return tuple(sum(g[i][j] * u[j] for j in range(n)) for i in range(n))
+
+    assert rs.roots == rs.positive_roots + tuple(
+        tuple(-t for t in r) for r in rs.positive_roots
+    )
+    assert rs.covectors == tuple(cov(r) for r in rs.positive_roots)
+    for i, alpha in enumerate(rs.simple_roots):
+        assert rs.roots[rs.simple_positions[i]] == alpha
+        assert rs.simple_covectors[i] == cov(alpha)
+    gram = tuple(tuple(form(a, b) for b in rs.simple_roots) for a in rs.simple_roots)
+    assert rs.simple_gram == gram
+    assert gram == tuple(
+        tuple(sum(s * t for s, t in zip(a, b)) for b in catalog.simple_roots)
+        for a in catalog.simple_roots
+    )
+    assert matmul(gram, rs.simple_gram_inverse) == identity(rs.rank)
+    pad = (0,) * (n - d)
+    for i, w in enumerate(fundamental_coweights(rs)):
+        assert w == matvec(m, fundamental_coweights(catalog)[i]) + pad
+        for j, alpha in enumerate(rs.simple_roots):
+            assert form(alpha, w) == (gram[i][i] / 2 if i == j else 0)
+    v = tuple(v[:n])
+    roots = set(rs.roots)
+    for i, alpha in enumerate(rs.simple_roots):
+        c = 2 * form(alpha, v) / form(alpha, alpha)
+        expected = tuple(t - c * a for t, a in zip(v, alpha))
+        assert reflect(rs, i, v) == expected
+        assert matvec(simple_reflection(rs, i), v) == expected
+        assert all(reflect(rs, i, r) in roots for r in rs.roots)
