@@ -27,7 +27,6 @@ from .rootsys import (
     fundamental_coweights,
     is_dominant,
     metric_covector,
-    root_support,
 )
 
 
@@ -202,7 +201,10 @@ def classify_faces(rs: RootSystem, group: weyl.WeylGroup, x) -> tuple:
         raise ValueError("x is not dominant; apply weyl.to_dominant first")
 
     positives = list(zip(rs.covectors, rs.positive_multiplicities))
-    supports = [root_support(rs, lam) for lam in rs.positive_roots]
+    supports = [
+        frozenset(i for i, c in enumerate(coeffs) if c)
+        for coeffs in rs.positive_coefficients
+    ]
     total_mult = sum(m for _, m in positives)
     out = []
     for size in range(rs.rank):

@@ -35,7 +35,7 @@ from scipy.linalg import expm
 
 from . import polytope as poly
 from .facelab import FaceDescriptor
-from .linalg import Mat, Vec, dot, frac, inverse, mat, nullspace, vec
+from .linalg import Mat, Vec, dot, frac, inverse, matvec, nullspace, transpose, vec
 from .rootsys import (
     RootSystem,
     build_root_system,
@@ -195,11 +195,6 @@ def project(model: MatrixModel, y: np.ndarray) -> np.ndarray:
     return (upper - lower) / 2.0
 
 
-def _so_basis(n: int):
-    """Index pairs of the standard antisymmetric basis E_ij - E_ji, i < j."""
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
 def _skew_from_coords(pairs, coords, n):
     out = [[frac(0)] * n for _ in range(n)]
     for (i, j), c in zip(pairs, coords):
@@ -226,104 +221,67 @@ class _RootSpaces(NamedTuple):
     from_coords: np.ndarray
 
 
-def _probe(model: MatrixModel, r: int) -> Mat:
-    """Exact Cartan probe matrix for coordinate direction r.
-
-    For the symmetric model this is the bare diagonal unit (tracelessness
-    is irrelevant to commutators with it); for the skew model the unit
-    block rotation generator.
-    """
-    n = model.n
-    zero = frac(0)
-    if model.kind == "sym":
-        return tuple(
-            tuple(frac(1) if i == j == r else zero for j in range(n))
-            for i in range(n)
-        )
-    rows = [[zero] * n for _ in range(n)]
-    rows[2 * r][2 * r + 1] = frac(1)
-    rows[2 * r + 1][2 * r] = frac(-1)
-    return tuple(tuple(r_) for r_ in rows)
-
-
 @lru_cache(maxsize=None)
 def _root_spaces(model: MatrixModel) -> _RootSpaces:
-    """Exact decomposition of so(n) into joint root spaces of the Cartan.
+    """Exact decomposition of so(n) into the root spaces of the Cartan.
 
-    The operators xi -> [A_s, [A_r, xi]] for Cartan probes A_r commute and
-    act on the root space of lambda as sign * lambda(e_r) lambda(e_s)
-    (sign +1 for the symmetric model, -1 for the skew one, where the
-    probes themselves are antisymmetric).  Joint kernels and eigenspaces
-    are computed with exact rational arithmetic and the dimensions are
-    checked against the root system's multiplicities, then the change of
-    basis is inverted once and frozen as floats.
+    One Cartan element h separates every positive root: alpha_j(h) = b^j for
+    the simple roots, with b one more than the largest simple-root
+    coefficient of a positive root, so lambda(h) = sum_j c_j b^j are
+    distinct positive integers.  The operator T = sign * ad(h)^2 (sign +1
+    for the symmetric model, -1 for the skew one, where h itself is
+    antisymmetric) acts on the root space of lambda as lambda(h)^2 and
+    vanishes exactly on the Cartan centralizer, so every space is an exact
+    kernel of T - lambda(h)^2.  The dimensions are checked against the root
+    system's multiplicities, then the change of basis is inverted once and
+    frozen as floats.
     """
     rs = model.root_system
     n = model.n
-    pairs = _so_basis(n)
+    # the standard basis E_ij - E_ji of so(n), i < j
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     dim_k = len(pairs)
     sign = 1 if model.kind == "sym" else -1
-    probes = [_probe(model, r) for r in range(rs.ambient_dim)]
-
-    def op_matrix(apply):
-        cols = []
-        for b in range(dim_k):
-            coords = [frac(1 if t == b else 0) for t in range(dim_k)]
-            image = apply(_skew_from_coords(pairs, coords, n))
-            cols.append([image[i][j] for (i, j) in pairs])
-        return tuple(tuple(cols[b][a] for b in range(dim_k)) for a in range(dim_k))
-
-    single = [
-        op_matrix(lambda xi, p=p: _bracket(p, xi, n)) for p in probes
-    ]
-    double = {}
-    for r in range(rs.ambient_dim):
-        for s in range(r, rs.ambient_dim):
-            double[(r, s)] = op_matrix(
-                lambda xi, pr=probes[r], ps=probes[s]: _bracket(
-                    ps, _bracket(pr, xi, n), n
-                )
-            )
-
-    def block_for(lam_vals):
-        # lambda(e_r) = (G lambda)_r
-        stacked = []
-        for (r, s), op in double.items():
-            target = sign * lam_vals[r] * lam_vals[s]
-            for a in range(dim_k):
-                row = list(op[a])
-                row[a] = row[a] - target
-                stacked.append(tuple(row))
-        return nullspace(mat(stacked))
+    b = 1 + max(c for coeffs in rs.positive_coefficients for c in coeffs)
+    # h = sum_j y_j alpha_j with alpha_j(h) = (simple_gram y)_j = b^j
+    y = matvec(rs.simple_gram_inverse, tuple(b**j for j in range(rs.rank)))
+    h = matvec(transpose(rs.simple_roots), y)
+    hm = embed_exact(model, h)
+    columns = []
+    for a in range(dim_k):
+        unit = _skew_from_coords(pairs, [int(t == a) for t in range(dim_k)], n)
+        image = _bracket(hm, _bracket(hm, unit, n), n)
+        columns.append([sign * image[i][j] for (i, j) in pairs])
+    op = transpose(columns)
 
     order = []
-    start = 0
     block_slices = []
-    for lam_vals, mult in zip(rs.covectors, rs.positive_multiplicities):
-        space = block_for(lam_vals)
+    for lam, mult in zip(rs.covectors, rs.positive_multiplicities):
+        value = dot(lam, h) ** 2
+        space = nullspace(
+            [[c - value if a == k else c for a, c in enumerate(row)]
+             for k, row in enumerate(op)]
+        )
         if len(space) != mult:
             raise ValueError(
                 f"root-space dimension {len(space)} does not match the "
                 f"declared multiplicity {mult}"
             )
+        block_slices.append(slice(len(order), len(order) + mult))
         order.extend(space)
-        block_slices.append(slice(start, start + mult))
-        start += mult
 
-    stacked = [row for op in single for row in op]
-    center = nullspace(mat(stacked)) if stacked else []
+    center = nullspace(op)
     if len(center) != rs.centralizer_dim:
         raise ValueError(
             f"Cartan centralizer dimension {len(center)} does not match the "
             f"declared value {rs.centralizer_dim}"
         )
-    zero_slice = slice(start, start + len(center))
+    zero_slice = slice(len(order), len(order) + len(center))
     order.extend(center)
 
     if len(order) != dim_k:
         raise ValueError("root spaces do not fill the Lie algebra")
-    change = tuple(tuple(order[b][a] for b in range(dim_k)) for a in range(dim_k))
-    inv = inverse(change)
+    inv = inverse(transpose(order))
     basis_mats = np.array(
         [
             [[float(c) for c in row] for row in _skew_from_coords(pairs, v, n)]
@@ -524,13 +482,10 @@ def _height_curve_second_derivative(
     return (f_plus - 2.0 * f_zero + f_minus) / (h * h)
 
 
-def hessian_closed_form(model: MatrixModel, x_cartan, beta_cartan, xi: np.ndarray):
-    """Exact-formula second derivative of the height curve.
+def _closed_form_at(model: MatrixModel, x_cartan, beta_cartan):
+    """The closed-form Hessian at (x, beta) as a function of xi.
 
-    Decomposes xi into root-space components xi_lambda and evaluates
-    - sum over positive lambda with lambda(x) != 0 of
-    lambda(beta) |[x, xi_lambda]|^2 / lambda(x).  Requires dominant x so
-    every lambda(x) is nonnegative.
+    The root pairings lambda(x) and lambda(beta) are computed once, here.
     """
     rs = model.root_system
     x = vec(x_cartan)
@@ -539,18 +494,34 @@ def hessian_closed_form(model: MatrixModel, x_cartan, beta_cartan, xi: np.ndarra
         raise ValueError("x is not dominant; apply weyl.to_dominant first")
     spaces = _root_spaces(model)
     base = embed(model, x)
-    coords = np.array([xi[i, j] for (i, j) in spaces.pairs])
-    weights = spaces.from_coords @ coords
-    total = 0.0
-    for lam, block in zip(rs.covectors, spaces.block_slices, strict=True):
-        lam_x = dot(lam, x)
-        if lam_x == 0:
-            continue
-        lam_beta = dot(lam, beta)
-        xi_lam = np.tensordot(weights[block], spaces.basis_mats[block], axes=1)
-        z = base @ xi_lam - xi_lam @ base
-        total -= float(lam_beta) * float(np.sum(z * z)) / float(lam_x)
-    return total
+    terms = [
+        (block, float(dot(lam, beta)), float(lam_x))
+        for lam, block in zip(rs.covectors, spaces.block_slices, strict=True)
+        if (lam_x := dot(lam, x)) != 0
+    ]
+
+    def closed_form(xi: np.ndarray) -> float:
+        coords = np.array([xi[i, j] for (i, j) in spaces.pairs])
+        weights = spaces.from_coords @ coords
+        total = 0.0
+        for block, lam_beta, lam_x in terms:
+            xi_lam = np.tensordot(weights[block], spaces.basis_mats[block], axes=1)
+            z = base @ xi_lam - xi_lam @ base
+            total -= lam_beta * float(np.sum(z * z)) / lam_x
+        return total
+
+    return closed_form
+
+
+def hessian_closed_form(model: MatrixModel, x_cartan, beta_cartan, xi: np.ndarray):
+    """Exact-formula second derivative of the height curve.
+
+    Decomposes xi into root-space components xi_lambda and evaluates
+    - sum over positive lambda with lambda(x) != 0 of
+    lambda(beta) |[x, xi_lambda]|^2 / lambda(x).  Requires dominant x so
+    every lambda(x) is nonnegative.
+    """
+    return _closed_form_at(model, x_cartan, beta_cartan)(xi)
 
 
 def hessian_fd(
@@ -641,6 +612,7 @@ def hessian_check(
     finite-difference truncation error, a few orders below the matching
     tolerance of 1e-5 * |x| * |beta| used by the callers.
     """
+    closed_form = _closed_form_at(model, x_cartan, beta_cartan)
     spaces = _root_spaces(model)
     base = embed(model, x_cartan)
     beta_mat = embed(model, beta_cartan)
@@ -650,7 +622,7 @@ def hessian_check(
         xi = _random_direction(rng, spaces)
         if xi is None:
             continue
-        closed = hessian_closed_form(model, x_cartan, beta_cartan, xi)
+        closed = closed_form(xi)
         numeric = _height_curve_second_derivative(base, beta_mat, xi, h)
         worst = max(worst, abs(closed - numeric))
     return {"max_abs_error": worst, "trials": trials}
@@ -701,13 +673,10 @@ def _dominant_integer_vector(rng, model: MatrixModel, group) -> Vec:
     For the symmetric model the coordinates are recentred to sum zero
     (scaled by the matrix size to stay integral).
     """
-    raw = [int(c) for c in rng.integers(-4, 5, size=model.root_system.ambient_dim)]
-    if model.kind == "sym":
-        s = sum(raw)
-        raw = [model.n * c - s for c in raw]
+    raw = _random_cartan_vector(rng, model)
     if all(c == 0 for c in raw):
-        raw = [int(2 * c) for c in model.root_system.positive_roots[0]]
-    return to_dominant(group, vec(raw)).vector
+        raw = vec(int(2 * c) for c in model.root_system.positive_roots[0])
+    return to_dominant(group, raw).vector
 
 
 def _random_cartan_vector(rng, model: MatrixModel) -> Vec:

@@ -111,6 +111,36 @@ class RootSystem:
     def simple_gram_inverse(self) -> Mat:
         return inverse(self.simple_gram)
 
+    @functools.cached_property
+    def positive_coefficients(self) -> tuple:
+        """Simple-root coefficients of each positive root, in ``positive_roots`` order."""
+        return tuple(simple_coefficients(self, r) for r in self.positive_roots)
+
+    @functools.cached_property
+    def simple_reflection_perms(self) -> tuple:
+        """Each simple reflection as a permutation of ``roots`` (``perm[k]`` indexes
+        the image of ``roots[k]``), or ValueError if the roots are not closed.
+
+        In simple-root coefficients s_i only subtracts sum_j c_j <alpha_j, alpha_i^v>
+        from coefficient i.
+        """
+        coeffs = self.positive_coefficients
+        n_pos = len(coeffs)
+        negated = tuple(tuple(-t for t in c) for c in coeffs)
+        where = {c: k for k, c in enumerate(coeffs + negated)}
+        gram = self.simple_gram
+        perms = []
+        for i in range(self.rank):
+            cartan = [2 * row[i] / gram[i][i] for row in gram]  # <alpha_j, alpha_i^v>
+            images = [
+                where.get(c[:i] + (c[i] - dot(c, cartan),) + c[i + 1:]) for c in coeffs
+            ]
+            if None in images:
+                raise ValueError("the roots are not closed under the simple reflections")
+            # s_i(-r) = -s_i(r), and roots[k + n_pos] = -roots[k]
+            perms.append(tuple(images + [(j + n_pos) % (2 * n_pos) for j in images]))
+        return tuple(perms)
+
 
 def pairing(rs: RootSystem, lam: Vec, v: Vec) -> Fraction:
     """Exact value of the root (or any covector) lam on v: <lam, v>_G."""
@@ -248,10 +278,9 @@ def _validate(rs: RootSystem) -> RootSystem:
     if rs.centralizer_dim < 0:
         raise ValueError("centralizer dimension must be nonnegative")
     pos = set(rs.positive_roots)
-    for r in rs.positive_roots:
+    for r, coeffs in zip(rs.positive_roots, rs.positive_coefficients):
         if vec_scale(-1, r) in pos:
             raise ValueError("positive roots contain a root and its negation")
-        coeffs = simple_coefficients(rs, r)
         if any(c.denominator != 1 or c < 0 for c in coeffs):
             raise ValueError(
                 f"{r!r} is not a nonnegative integer combination of simple roots"
@@ -259,10 +288,7 @@ def _validate(rs: RootSystem) -> RootSystem:
     for a in rs.simple_roots:
         if a not in pos:
             raise ValueError("every simple root must be listed as a positive root")
-    roots = set(rs.roots)
-    for i in range(rs.rank):
-        if any(reflect(rs, i, r) not in roots for r in rs.positive_roots):
-            raise ValueError("the roots are not closed under the simple reflections")
+    rs.simple_reflection_perms  # raises unless the roots are closed
     return rs
 
 

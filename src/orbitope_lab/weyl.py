@@ -77,9 +77,8 @@ def generate_subgroup(
     gen_idx = tuple(sorted(set(int(i) for i in generator_indices)))
     if any(i < 0 or i >= rs.rank for i in gen_idx):
         raise ValueError("generator index out of range")
-    roots = rs.roots
-    gens = [point_permutation(rs, i, roots) for i in gen_idx]
-    perms = [tuple(range(len(roots)))]
+    gens = [rs.simple_reflection_perms[i] for i in gen_idx]
+    perms = [tuple(range(len(rs.roots)))]
     words = [()]
     seen = {perms[0]}
     frontier = [0]

@@ -10,7 +10,7 @@ import pytest
 from oracles import majorized_by
 from orbitope_lab import facelab, jsonio, matmodel
 from orbitope_lab import polytope as poly
-from orbitope_lab.rootsys import metric_covector, pairing
+from orbitope_lab.rootsys import make_root_system, metric_covector, pairing
 from orbitope_lab.weyl import generate, orbit, to_dominant
 
 
@@ -69,6 +69,109 @@ def test_model_domain_errors():
         matmodel.make_model("sym", 1)
     with pytest.raises(ValueError):
         matmodel.make_model("herm", 3)
+
+
+def exact(matrix):
+    """The exact values of a float matrix."""
+    return [[Fraction(float(c)) for c in row] for row in matrix]
+
+
+def bracket(a, b):
+    n = len(a)
+    return [
+        [sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def unit_probe(model, r):
+    """The Cartan element of coordinate direction r, as an exact matrix."""
+    n = model.n
+    a = [[Fraction(0)] * n for _ in range(n)]
+    if model.kind == "sym":
+        a[r][r] = Fraction(1)
+    else:
+        a[2 * r][2 * r + 1], a[2 * r + 1][2 * r] = Fraction(1), Fraction(-1)
+    return a
+
+
+@pytest.mark.parametrize(
+    "kind,n", [("sym", n) for n in range(2, 6)] + [("skew", n) for n in range(3, 8)]
+)
+def test_root_spaces_are_joint_eigenspaces_of_the_cartan(kind, n):
+    model = matmodel.make_model(kind, n)
+    rs = model.root_system
+    spaces = matmodel._root_spaces(model)
+    sign = 1 if kind == "sym" else -1
+    d = rs.ambient_dim
+    probes = [unit_probe(model, r) for r in range(d)]
+    basis = [exact(m) for m in spaces.basis_mats]
+    sizes = [block.stop - block.start for block in spaces.block_slices]
+    assert sizes == list(rs.positive_multiplicities)
+    assert len(basis[spaces.zero_slice]) == rs.centralizer_dim
+    assert len(basis) == len(spaces.pairs) == n * (n - 1) // 2
+    for lam, block in zip(rs.covectors, spaces.block_slices, strict=True):
+        for xi in basis[block]:
+            for r in range(d):
+                for s in range(r, d):
+                    value = sign * lam[r] * lam[s]
+                    assert bracket(probes[s], bracket(probes[r], xi)) == [
+                        [value * c for c in row] for row in xi
+                    ]
+    zero = [[0] * n for _ in range(n)]
+    for xi in basis[spaces.zero_slice]:
+        assert all(bracket(p, xi) == zero for p in probes)
+    coords = [[xi[i][j] for xi in basis] for (i, j) in spaces.pairs]
+    product = [
+        [sum(a * b for a, b in zip(row, col)) for col in zip(*coords)]
+        for row in exact(spaces.from_coords)
+    ]
+    assert product == [[int(i == j) for j in range(len(basis))] for i in range(len(basis))]
+
+
+def test_root_spaces_build_one_operator(monkeypatch):
+    """One double bracket per basis element of so(n), nothing else."""
+    bracket_ = matmodel._bracket
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return bracket_(*args)
+
+    monkeypatch.setattr(matmodel, "_bracket", counting)
+    model = matmodel.make_model("skew", 7)
+    matmodel._root_spaces.__wrapped__(model)
+    assert len(calls) == 2 * 21
+
+
+def test_root_spaces_check_the_declared_dimensions():
+    skew5 = matmodel.make_model("skew", 5).root_system
+
+    def skew5_declaring(mults, centralizer):
+        rs = make_root_system(
+            skew5.simple_roots,
+            skew5.positive_roots,
+            multiplicities=mults,
+            inner_product=skew5.inner_product,
+            centralizer_dim=centralizer,
+        )
+        return matmodel.MatrixModel("skew", 5, rs)
+
+    with pytest.raises(
+        ValueError,
+        match="^root-space dimension 2 does not match the declared multiplicity 1$",
+    ):
+        matmodel._root_spaces(skew5_declaring([1] * 4, 2))
+    with pytest.raises(
+        ValueError,
+        match="^Cartan centralizer dimension 2 does not match the declared value 0$",
+    ):
+        matmodel._root_spaces(skew5_declaring([2] * 4, 0))
+    # one root of A2: its own space and the (zero) centralizer match, but the
+    # spaces of the two undeclared roots are missing
+    a1_in_sym3 = make_root_system([(1, -1, 0)], [(1, -1, 0)])
+    with pytest.raises(ValueError, match="^root spaces do not fill the Lie algebra$"):
+        matmodel._root_spaces(matmodel.MatrixModel("sym", 3, a1_in_sym3))
 
 
 def test_embed_exact_and_isometry():

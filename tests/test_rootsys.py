@@ -314,10 +314,13 @@ def test_cached_pairing_data_matches_the_gram_matrix(label, entries, coupling, v
         for j, alpha in enumerate(rs.simple_roots):
             assert form(alpha, w) == (gram[i][i] / 2 if i == j else 0)
     v = tuple(v[:n])
-    roots = set(rs.roots)
     for i, alpha in enumerate(rs.simple_roots):
         c = 2 * form(alpha, v) / form(alpha, alpha)
         expected = tuple(t - c * a for t, a in zip(v, alpha))
         assert reflect(rs, i, v) == expected
         assert matvec(simple_reflection(rs, i), v) == expected
-        assert all(reflect(rs, i, r) in roots for r in rs.roots)
+        perm = rs.simple_reflection_perms[i]
+        assert [rs.roots[j] for j in perm] == [reflect(rs, i, r) for r in rs.roots]
+    assert rs.positive_coefficients == tuple(
+        simple_coefficients(rs, r) for r in rs.positive_roots
+    )

@@ -16,6 +16,7 @@ from oracles import (
     vertex_permutations_by_matrices,
 )
 from orbitope_lab import polytope as poly
+from orbitope_lab import rootsys, weyl
 from orbitope_lab.linalg import identity, matmul, matvec, transpose
 from orbitope_lab.rootsys import (
     build_root_system,
@@ -95,6 +96,24 @@ def test_simple_reflections_are_isometric_involutions():
             assert matmul(transpose(s), matmul(g, s)) == g
             alpha = rs.simple_roots[i]
             assert matvec(s, alpha) == tuple(-c for c in alpha)
+
+
+def test_generate_reads_the_cached_root_permutations(monkeypatch):
+    """Building a system permutes its roots; generating W reflects nothing."""
+    reflect = rootsys.reflect
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return reflect(*args)
+
+    for spec, order in (("B3", 48), ("F4", 1152), (SKEW_G2, 12)):
+        rs = build_root_system(spec)
+        monkeypatch.setattr(weyl, "reflect", counting)
+        monkeypatch.setattr(rootsys, "reflect", counting)
+        assert weyl.generate(rs).order == order
+        monkeypatch.undo()
+    assert calls == []
 
 
 def test_identity_is_first_with_empty_word():
