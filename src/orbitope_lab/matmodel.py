@@ -49,6 +49,9 @@ from .weyl import to_dominant
 VIOLATION_TOL = 1e-9
 MATCH_TOL = 1e-6
 RANK_TOL = 1e-8
+# Haar draws and finite-difference directions go through the stacked
+# linear algebra this many at a time, which bounds the scratch memory.
+_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -204,9 +207,14 @@ def _skew_from_coords(pairs, coords, n):
 
 
 def _bracket(a, b, n):
+    """Exact [a, b] = ab - ba, summing only over the nonzero entries of a."""
+    rows = [[k for k in range(n) if a[i][k]] for i in range(n)]
+    cols = [[k for k in range(n) if a[k][j]] for j in range(n)]
+    zero = frac(0)
     return tuple(
         tuple(
-            sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(n))
+            sum((a[i][k] * b[k][j] for k in rows[i]), zero)
+            - sum((b[i][k] * a[k][j] for k in cols[j]), zero)
             for j in range(n)
         )
         for i in range(n)
@@ -298,17 +306,6 @@ def _root_spaces(model: MatrixModel) -> _RootSpaces:
     )
 
 
-def _haar_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
-    z = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    signs = np.sign(np.diagonal(r))
-    signs[signs == 0] = 1.0
-    q = q * signs
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
 def sample_orbit(
     model: MatrixModel,
     x_cartan,
@@ -320,7 +317,11 @@ def sample_orbit(
     """Haar-uniform conjugates of the embedded Cartan point.
 
     Draw i uses its own generator seeded by (seed, i), so a shorter run is
-    a prefix of a longer one with the same seed.  ``forced_cartan_points``
+    a prefix of a longer one with the same seed.  Each draw is a Gaussian
+    matrix turned into a rotation by QR with Mezzadri's sign fix and a
+    determinant flip of the first column; the draws are processed _CHUNK
+    at a time by stacked QR, determinant and conjugation, which compute
+    every draw exactly as a one-matrix call would.  ``forced_cartan_points``
     appends the exact embeddings of the given Cartan vectors after the
     Haar draws; forcing x itself realizes the identity group element.
     """
@@ -330,9 +331,19 @@ def sample_orbit(
     base = embed(model, x)
     n = model.n
     points = np.empty((n_samples + len(forced_cartan_points), n, n))
-    for i in range(n_samples):
-        g = _haar_rotation(np.random.default_rng((seed, i)), n)
-        points[i] = g @ base @ g.T
+    gauss = np.empty((_CHUNK, n, n))
+    for start in range(0, n_samples, _CHUNK):
+        k = min(_CHUNK, n_samples - start)
+        z = gauss[:k]
+        for i in range(k):
+            np.random.default_rng((seed, start + i)).standard_normal(out=z[i])
+        q, r = np.linalg.qr(z)
+        signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+        signs[signs == 0] = 1.0
+        q *= signs[:, None, :]
+        flip = np.linalg.det(q) < 0
+        q[flip, :, 0] = -q[flip, :, 0]
+        points[start : start + k] = q @ base @ np.swapaxes(q, -1, -2)
     for k, v in enumerate(forced_cartan_points):
         points[n_samples + k] = embed(model, v)
     return OrbitSample(
@@ -349,7 +360,9 @@ def sample_orbit(
 class _FloatGeometry(NamedTuple):
     origin: np.ndarray
     inplane: np.ndarray | None
-    facets: list
+    normals: np.ndarray
+    offsets: np.ndarray
+    norms: np.ndarray
 
 
 def _float_geometry(polytope_: poly.RationalPolytope) -> _FloatGeometry:
@@ -361,22 +374,30 @@ def _float_geometry(polytope_: poly.RationalPolytope) -> _FloatGeometry:
             [[float(c) for c in row] for row in polytope_.basis]
         )
         inplane = basis.T @ np.linalg.inv(basis @ basis.T) @ basis
-    facets = [
-        (
-            np.array([float(c) for c in nu]),
-            float(c0),
-            math.sqrt(sum(float(c) ** 2 for c in nu)),
-        )
-        for nu, c0 in polytope_.facets
-    ]
-    return _FloatGeometry(origin=origin, inplane=inplane, facets=facets)
+    normals = np.array(
+        [[float(c) for c in nu] for nu, _ in polytope_.facets]
+    ).reshape(len(polytope_.facets), polytope_.ambient_dim)
+    return _FloatGeometry(
+        origin=origin,
+        inplane=inplane,
+        normals=normals,
+        offsets=np.array([float(c0) for _, c0 in polytope_.facets]),
+        norms=np.array(
+            [math.sqrt(sum(float(c) ** 2 for c in nu)) for nu, _ in polytope_.facets]
+        ),
+    )
 
 
-def _facet_violation(geom: _FloatGeometry, p: np.ndarray) -> float:
-    """Largest signed, normalized facet violation (positive = outside)."""
-    if not geom.facets:
-        return -math.inf
-    return max((nu @ p - c) / norm for nu, c, norm in geom.facets)
+def _facet_violations(geom: _FloatGeometry, points: np.ndarray) -> np.ndarray:
+    """Largest signed, normalized facet violation of each point (positive =
+    outside), one ``points @ normals.T`` product per chunk of points."""
+    out = np.full(len(points), -math.inf)
+    if len(geom.offsets):
+        for start in range(0, len(points), _CHUNK):
+            chunk = points[start : start + _CHUNK]
+            gaps = (chunk @ geom.normals.T - geom.offsets) / geom.norms
+            out[start : start + len(chunk)] = np.max(gaps, axis=1)
+    return out
 
 
 def _affine_residual(geom: _FloatGeometry, p: np.ndarray, dim0: bool) -> float:
@@ -388,11 +409,11 @@ def _affine_residual(geom: _FloatGeometry, p: np.ndarray, dim0: bool) -> float:
     return float(np.linalg.norm(rel - geom.inplane @ rel))
 
 
-def _distance_to(polytope_: poly.RationalPolytope, geom, p: np.ndarray) -> float:
-    """Nonnegative gap between a point and the polytope (0 = inside)."""
-    residual = _affine_residual(geom, p, polytope_.dim == 0)
-    violation = _facet_violation(geom, p)
-    return max(residual, violation, 0.0)
+def _distances_to(polytope_: poly.RationalPolytope, geom, points) -> np.ndarray:
+    """Nonnegative gap between each point and the polytope (0 = inside)."""
+    dim0 = polytope_.dim == 0
+    residuals = np.array([_affine_residual(geom, p, dim0) for p in points])
+    return np.maximum(np.maximum(residuals, _facet_violations(geom, points)), 0.0)
 
 
 def kostant_check(
@@ -414,10 +435,9 @@ def kostant_check(
         vertex_tol = MATCH_TOL * x_norm
     geom = _float_geometry(polytope_)
     dim0 = polytope_.dim == 0
-    worst_facet = -math.inf
+    worst_facet = float(np.max(_facet_violations(geom, sample.projections)))
     worst_residual = 0.0
     for p in sample.projections:
-        worst_facet = max(worst_facet, _facet_violation(geom, p))
         worst_residual = max(worst_residual, _affine_residual(geom, p, dim0))
     haar = sample.projections[: sample.n_haar]
     vertex_distances = []
@@ -467,17 +487,20 @@ def argmax_height(sample: OrbitSample, beta_cartan) -> dict:
     }
 
 
-def _height_curve_second_derivative(
-    base: np.ndarray, beta_mat: np.ndarray, xi: np.ndarray, h: float
-) -> float:
-    """Centered finite difference of t -> <Ad(exp t xi) x, beta> at 0.
+def _height_curve_second_derivatives(
+    base: np.ndarray, beta_mat: np.ndarray, xis: np.ndarray, h: float
+) -> np.ndarray:
+    """Centered finite differences of t -> <Ad(exp t xi) x, beta> at 0.
 
-    The direction is antisymmetric, so exp(-h xi) is the transpose of
-    exp(h xi) and one matrix exponential serves both sides.
+    One value per direction in the stack ``xis``, from one stacked matrix
+    exponential.  The directions are antisymmetric, so exp(-h xi) is the
+    transpose of exp(h xi) and serves the other side.
     """
-    g = expm(h * xi)
-    f_plus = float(np.sum((g @ base @ g.T) * beta_mat))
-    f_minus = float(np.sum((g.T @ base @ g) * beta_mat))
+    k = len(xis)
+    g = expm(h * xis)
+    gt = np.swapaxes(g, -1, -2)
+    f_plus = np.sum((g @ base @ gt * beta_mat).reshape(k, base.size), axis=1)
+    f_minus = np.sum((gt @ base @ g * beta_mat).reshape(k, base.size), axis=1)
     f_zero = float(np.sum(base * beta_mat))
     return (f_plus - 2.0 * f_zero + f_minus) / (h * h)
 
@@ -530,20 +553,34 @@ def hessian_fd(
     """Finite-difference second derivative of the height curve at t = 0."""
     base = embed(model, x_cartan)
     beta_mat = embed(model, beta_cartan)
-    return _height_curve_second_derivative(base, beta_mat, xi, h)
+    return float(_height_curve_second_derivatives(base, beta_mat, xi[None], h)[0])
 
 
-def _random_direction(rng: np.random.Generator, spaces: _RootSpaces, block=None):
-    if block is None:
-        weights = rng.standard_normal(len(spaces.basis_mats))
-        xi = np.tensordot(weights, spaces.basis_mats, axes=1)
-    else:
-        weights = rng.standard_normal(block.stop - block.start)
-        xi = np.tensordot(weights, spaces.basis_mats[block], axes=1)
-    norm = float(np.linalg.norm(xi))
-    if norm < 1e-12:
-        return None
-    return xi / norm
+def _random_directions(spaces: _RootSpaces, seed: int, blocks) -> np.ndarray:
+    """Unit random directions in so(n), one per entry of ``blocks``.
+
+    Direction t draws Gaussian weights from its own generator seeded by
+    (seed, t), on the basis of root-space block ``blocks[t]`` (an index
+    into ``spaces.block_slices``) or, for None, of the whole algebra.  The
+    weights of one block go through one tensordot.  Directions of norm
+    below 1e-12 are dropped.
+    """
+    basis = spaces.basis_mats
+    xis = np.empty((len(blocks),) + basis.shape[1:])
+    members = {}
+    for t, block in enumerate(blocks):
+        members.setdefault(block, []).append(t)
+    for block, ts in members.items():
+        mats = basis if block is None else basis[spaces.block_slices[block]]
+        weights = np.array(
+            [np.random.default_rng((seed, t)).standard_normal(len(mats)) for t in ts]
+        )
+        xis[ts] = np.tensordot(weights, mats, axes=1)
+    # per-direction dot products, as np.linalg.norm takes them
+    flat = xis.reshape(len(blocks), 1, -1)
+    norms = np.sqrt(flat @ np.swapaxes(flat, -1, -2)).reshape(-1)
+    keep = norms >= 1e-12
+    return xis[keep] / norms[keep, None, None]
 
 
 def local_max_test(
@@ -576,17 +613,12 @@ def local_max_test(
     b_norm = math.sqrt(sum(float(c) ** 2 for c in beta))
     threshold = MATCH_TOL * max(1.0, x_norm * b_norm)
     n_blocks = len(spaces.block_slices)
-    worst = -math.inf
-    for t in range(n_directions):
-        rng = np.random.default_rng((seed, t))
-        if n_blocks and t < 2 * n_blocks:
-            xi = _random_direction(rng, spaces, spaces.block_slices[t % n_blocks])
-        else:
-            xi = _random_direction(rng, spaces)
-        if xi is None:
-            continue
-        second = _height_curve_second_derivative(base, beta_mat, xi, 1e-4)
-        worst = max(worst, second)
+    blocks = [
+        t % n_blocks if t < 2 * n_blocks else None for t in range(n_directions)
+    ]
+    xis = _random_directions(spaces, seed, blocks)
+    seconds = _height_curve_second_derivatives(base, beta_mat, xis, 1e-4)
+    worst = max([-math.inf, *seconds.tolist()])
     numeric = worst <= threshold
     return {
         "chamber": chamber,
@@ -616,15 +648,11 @@ def hessian_check(
     spaces = _root_spaces(model)
     base = embed(model, x_cartan)
     beta_mat = embed(model, beta_cartan)
+    xis = _random_directions(spaces, seed, [None] * trials)
+    numeric = _height_curve_second_derivatives(base, beta_mat, xis, h)
     worst = 0.0
-    for t in range(trials):
-        rng = np.random.default_rng((seed, t))
-        xi = _random_direction(rng, spaces)
-        if xi is None:
-            continue
-        closed = closed_form(xi)
-        numeric = _height_curve_second_derivative(base, beta_mat, xi, h)
-        worst = max(worst, abs(closed - numeric))
+    for xi, fd in zip(xis, numeric.tolist()):
+        worst = max(worst, abs(closed_form(xi) - fd))
     return {"max_abs_error": worst, "trials": trials}
 
 
@@ -767,9 +795,7 @@ def verification_report(
         sub = poly.hull([vec(v) for v in d.sigma_vertices])
         geom = _float_geometry(sub)
         arg = argmax_height(sample, d.beta)
-        worst = 0.0
-        for p in arg["projections"]:
-            worst = max(worst, _distance_to(sub, geom, p))
+        worst = float(np.max(_distances_to(sub, geom, arg["projections"])))
         covector = np.array(
             [float(c) for c in metric_covector(model.root_system, d.beta)]
         )

@@ -46,7 +46,9 @@ from .linalg import (
     nullspace,
     primitive,
     rank,
+    rref,
     solve,
+    transpose,
     vec,
     vec_add,
     vec_scale,
@@ -113,8 +115,22 @@ class RootSystem:
 
     @functools.cached_property
     def positive_coefficients(self) -> tuple:
-        """Simple-root coefficients of each positive root, in ``positive_roots`` order."""
-        return tuple(simple_coefficients(self, r) for r in self.positive_roots)
+        """Simple-root coefficients of each positive root, in ``positive_roots`` order.
+
+        One reduced row echelon form of [simple roots | positive roots], taken
+        as columns.  The simple roots are independent, so they hold the first
+        ``rank`` pivots and each later column reads off one root's
+        coefficients; a later pivot marks a root outside their span.
+        """
+        r = self.rank
+        rows, pivots = rref(transpose(self.simple_roots + self.positive_roots))
+        if len(pivots) > r:
+            root = self.positive_roots[pivots[r] - r]
+            raise ValueError(f"{root!r} is not in the span of the simple roots")
+        return tuple(
+            tuple(row[r + k] for row in rows[:r])
+            for k in range(len(self.positive_roots))
+        )
 
     @functools.cached_property
     def simple_reflection_perms(self) -> tuple:

@@ -382,9 +382,7 @@ def test_criterion_8_max_locus_prediction():
         record = matmodel.argmax_height(sample, d.beta)
         sub = poly.hull([tuple(v) for v in d.sigma_vertices])
         geom = matmodel._float_geometry(sub)
-        worst = 0.0
-        for p in record["projections"]:
-            worst = max(worst, matmodel._distance_to(sub, geom, p))
+        worst = float(matmodel._distances_to(sub, geom, record["projections"]).max())
         if worst > tol:
             failures.append((sorted(d.I), worst, tol))
     ok = not failures

@@ -229,6 +229,83 @@ def test_sample_orbit_shapes_and_prefix_stability():
         matmodel.sample_orbit(model, x, 0, seed=1)
 
 
+def one_haar_draw(seed, i, n):
+    """Draw i of a seeded sampler, by single-matrix calls."""
+    z = np.random.default_rng((seed, i)).standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    signs = np.sign(np.diagonal(r))
+    signs[signs == 0] = 1.0
+    q = q * signs
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+@pytest.mark.parametrize("kind,n,x", [("sym", 3, (2, 0, -2)), ("skew", 5, (2, 1))])
+def test_sample_orbit_draws_are_per_draw_seeded(kind, n, x):
+    model = matmodel.make_model(kind, n)
+    sample = matmodel.sample_orbit(model, x, matmodel._CHUNK + 3, seed=11)
+    base = matmodel.embed(model, x)
+    for i in (0, 1, matmodel._CHUNK - 1, matmodel._CHUNK, matmodel._CHUNK + 2):
+        g = one_haar_draw(11, i, n)
+        assert np.array_equal(sample.points[i], g @ base @ g.T), i
+
+
+def test_sample_orbit_chunked_run_is_a_prefix():
+    model = matmodel.make_model("sym", 4)
+    x = (3, 1, -1, -3)
+    short = matmodel.sample_orbit(model, x, matmodel._CHUNK + 3, seed=2)
+    long = matmodel.sample_orbit(model, x, 2 * matmodel._CHUNK + 1, seed=2)
+    assert np.array_equal(short.points, long.points[: matmodel._CHUNK + 3])
+    assert np.array_equal(short.projections, long.projections[: matmodel._CHUNK + 3])
+
+
+def counting_expm(monkeypatch):
+    calls = []
+    expm = matmodel.expm
+
+    def counting(a):
+        calls.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(matmodel, "expm", counting)
+    return calls
+
+
+def test_local_max_test_makes_one_expm_call(monkeypatch):
+    calls = counting_expm(monkeypatch)
+    model = matmodel.make_model("skew", 5)
+    matmodel.local_max_test(model, (2, 1), (1, -1), n_directions=40, seed=3)
+    assert calls == [(40, 5, 5)]
+
+
+def test_hessian_check_makes_one_expm_call(monkeypatch):
+    calls = counting_expm(monkeypatch)
+    model = matmodel.make_model("sym", 4)
+    matmodel.hessian_check(model, (3, 1, -1, -3), (1, 0, 0, -1), 25, seed=1)
+    assert calls == [(25, 4, 4)]
+
+
+def test_fd_directions_are_per_draw_seeded():
+    """Each stacked finite difference equals the one-direction computation."""
+    model = matmodel.make_model("skew", 5)
+    spaces = matmodel._root_spaces(model)
+    x, beta = (2, 1), (1, -1)
+    base, beta_mat = matmodel.embed(model, x), matmodel.embed(model, beta)
+    blocks = [0, 1, None, None, 3]
+    xis = matmodel._random_directions(spaces, 9, blocks)
+    seconds = matmodel._height_curve_second_derivatives(base, beta_mat, xis, 1e-4)
+    for t, block in enumerate(blocks):
+        mats = spaces.basis_mats
+        if block is not None:
+            mats = mats[spaces.block_slices[block]]
+        weights = np.random.default_rng((9, t)).standard_normal(len(mats))
+        xi = np.tensordot(weights, mats, axes=1)
+        xi = xi / float(np.linalg.norm(xi))
+        assert np.array_equal(xis[t], xi)
+        assert seconds[t] == matmodel.hessian_fd(model, x, beta, xi)
+
+
 def test_forced_points_are_exact():
     model = matmodel.make_model("sym", 3)
     x = (2, 0, -2)

@@ -1,6 +1,7 @@
 """Root system construction, pairings, chambers, and the text format."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -324,3 +325,11 @@ def test_cached_pairing_data_matches_the_gram_matrix(label, entries, coupling, v
     assert rs.positive_coefficients == tuple(
         simple_coefficients(rs, r) for r in rs.positive_roots
     )
+
+
+def test_positive_coefficients_reject_a_root_outside_the_span():
+    one = (Fraction(1), Fraction(0), Fraction(0))
+    off = (Fraction(0), Fraction(1), Fraction(0))
+    message = f"^{re.escape(repr(off))} is not in the span of the simple roots$"
+    with pytest.raises(ValueError, match=message):
+        make_root_system((one,), (one, off, (Fraction(2), Fraction(0), Fraction(0))))
