@@ -273,3 +273,29 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["system"]["weyl_order"] == 2
+
+
+def model_verify(capsys, extra):
+    argv = ["verify", "--model", "sym3", "--x", "1,1,-2", "--n-samples", "10000"]
+    return run_json(capsys, argv + extra)
+
+
+def test_verify_sym3_edge_face_passes_at_seed_42(capsys):
+    """The face tolerance allows for the edge's distance factor of sqrt(2)."""
+    status, report = model_verify(capsys, ["--seed", "42"])
+    assert status == 0
+    faces = report["stages"][1]["report"]["stages"][2]
+    assert faces["passed"]
+    edge = next(rec for rec in faces["descriptors"] if rec["I"] == [2])
+    assert edge["distance_factor"] == pytest.approx(2**0.5, rel=1e-12)
+    # beyond the height window 1e-6 |x| |beta| = 2e-6 that used to be the tolerance
+    assert edge["max_face_distance"] > 2e-6
+    assert edge["face_margin"] < 1.0
+
+
+def test_verify_model_corrupt_descriptor_fails_the_faces_stage(capsys):
+    status, report = model_verify(capsys, ["--seed", "42", "--corrupt-descriptor", "0"])
+    assert status == 1
+    numeric = report["stages"][1]["report"]
+    assert "faces" in numeric["failed_stages"]
+    assert not numeric["stages"][2]["descriptors"][0]["passed"]

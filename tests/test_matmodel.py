@@ -532,3 +532,60 @@ def test_verification_report_catches_corrupted_descriptor():
     )
     assert not rep["passed"]
     assert "faces" in rep["failed_stages"]
+
+
+def test_face_distance_factor_reads_the_vertices():
+    rs = make_root_system(
+        [(1, -1), (0, 1)], [(1, -1), (0, 1), (1, 0), (1, 1)], label="B2"
+    )
+    square = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert matmodel._face_distance_factor(rs, square, (1, 0)) == 1.0
+    assert matmodel._face_distance_factor(rs, square, (1, 1)) == 1.0
+    # a thin triangle: the far corner sits sqrt(5) from the apex at deficit 1
+    thin = [(0, 0), (2, 0), (0, 1)]
+    assert matmodel._face_distance_factor(rs, thin, (0, 1)) == math.sqrt(5)
+    assert matmodel._face_distance_factor(rs, thin, (0, 0)) == 0.0
+
+
+def faces_stage(model, x, hull, group, descriptors, seed):
+    rep = matmodel.verification_report(
+        model, x, 2000, seed, group=group, orbit_polytope=hull,
+        descriptors=descriptors, n_pairs=1, hessian_trials=1,
+    )
+    return rep["stages"][2]
+
+
+def test_face_tolerance_is_never_below_the_height_window():
+    model, rs, group, x, hull, descriptors = model_context("sym", 3, (1, 1, -2))
+    stage = faces_stage(model, x, hull, group, descriptors, 42)
+    x_norm = math.sqrt(6.0)
+    for d, rec in zip(descriptors, stage["descriptors"], strict=True):
+        window = 1e-6 * x_norm * math.sqrt(sum(float(c) ** 2 for c in d.beta))
+        assert rec["face_tolerance"] == pytest.approx(
+            max(1.0, rec["distance_factor"]) * window + 1e-9 * x_norm, rel=1e-12
+        )
+        assert rec["face_tolerance"] > window
+        assert rec["face_margin"] == rec["max_face_distance"] / rec["face_tolerance"]
+    assert max(rec["distance_factor"] for rec in stage["descriptors"]) > 1.0
+
+
+def test_faces_stage_catches_a_swapped_sigma_vertex():
+    import dataclasses
+
+    model, rs, group, x, hull, descriptors = model_context("sym", 3, (2, 0, -2))
+    edge = next(k for k, d in enumerate(descriptors) if len(d.sigma_vertices) == 2)
+    sigma = descriptors[edge].sigma_vertices
+    other = next(v for v in sigma if v != x)
+    outside = next(v for v in hull.vertices if v not in sigma)
+    bad = list(descriptors)
+    bad[edge] = dataclasses.replace(
+        bad[edge], sigma_vertices=tuple(outside if v == other else v for v in sigma)
+    )
+    good = faces_stage(model, x, hull, group, descriptors, 3)
+    stage = faces_stage(model, x, hull, group, bad, 3)
+    assert good["passed"]
+    assert not stage["passed"]
+    assert [rec["passed"] for rec in stage["descriptors"]] == [
+        k != edge for k in range(len(descriptors))
+    ]
+    assert stage["descriptors"][edge]["face_margin"] > 1e3
