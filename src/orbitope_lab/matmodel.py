@@ -49,8 +49,8 @@ from .weyl import to_dominant
 VIOLATION_TOL = 1e-9
 MATCH_TOL = 1e-6
 RANK_TOL = 1e-8
-# Haar draws and finite-difference directions go through the stacked
-# linear algebra this many at a time, which bounds the scratch memory.
+# Haar draws and membership points go through the stacked linear algebra
+# this many at a time, which bounds the scratch memory.
 _CHUNK = 512
 
 
@@ -341,8 +341,7 @@ def sample_orbit(
         signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
         signs[signs == 0] = 1.0
         q *= signs[:, None, :]
-        flip = np.linalg.det(q) < 0
-        q[flip, :, 0] = -q[flip, :, 0]
+        q[np.linalg.det(q) < 0, :, 0] *= -1.0
         points[start : start + k] = q @ base @ np.swapaxes(q, -1, -2)
     for k, v in enumerate(forced_cartan_points):
         points[n_samples + k] = embed(model, v)
@@ -501,14 +500,14 @@ def _face_distance_factor(rs: RootSystem, vertices, beta_cartan) -> float:
     (h_max - h(p)).  A point within eps of the best height therefore lies
     within factor * eps of F.
     """
-    covector = metric_covector(rs, vec(beta_cartan))
+    covector = metric_covector(rs, beta_cartan)
     heights = [dot(covector, v) for v in vertices]
     top = max(heights)
     points = np.array([[float(c) for c in v] for v in vertices])
     on_face = np.array([h == top for h in heights])
     if on_face.all():
         return 0.0
-    deficits = np.array([float(top - h) for h in heights])[~on_face]
+    deficits = np.array([float(top - h) for h in heights if h != top])
     gaps = points[~on_face, None, :] - points[None, on_face, :]
     nearest = np.min(np.linalg.norm(gaps, axis=-1), axis=1)
     return float(np.max(nearest / deficits))
