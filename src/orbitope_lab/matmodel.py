@@ -52,6 +52,14 @@ RANK_TOL = 1e-8
 # Haar draws and membership points go through the stacked linear algebra
 # this many at a time, which bounds the scratch memory.
 _CHUNK = 512
+# Stage tags of the random streams.  Every stream is one generator keyed
+# (seed, stage, index), so no two stages share random numbers; keys keep
+# three parts because numpy pads with zeros: (s, t) is (s, t, 0).
+_HAAR, _LOCAL_MAX, _HESSIAN, _PAIRS = range(4)
+
+
+def _stream(seed: int, stage: int, index: int = 0) -> np.random.Generator:
+    return np.random.default_rng((seed, stage, index))
 
 
 @dataclass(frozen=True)
@@ -316,14 +324,14 @@ def sample_orbit(
 ) -> OrbitSample:
     """Haar-uniform conjugates of the embedded Cartan point.
 
-    Draw i uses its own generator seeded by (seed, i), so a shorter run is
-    a prefix of a longer one with the same seed.  Each draw is a Gaussian
-    matrix turned into a rotation by QR with Mezzadri's sign fix and a
-    determinant flip of the first column; the draws are processed _CHUNK
-    at a time by stacked QR, determinant and conjugation, which compute
-    every draw exactly as a one-matrix call would.  ``forced_cartan_points``
-    appends the exact embeddings of the given Cartan vectors after the
-    Haar draws; forcing x itself realizes the identity group element.
+    The draws come _CHUNK at a time: chunk c is one stacked Gaussian fill
+    from the stream (seed, _HAAR, c), turned into rotations by one stacked
+    QR with Mezzadri's sign fix and a determinant flip of the first column,
+    then one stacked conjugation.  The fill is sequential, so a shorter run
+    is a bitwise prefix of a longer one with the same seed.
+    ``forced_cartan_points`` appends the exact embeddings of the given
+    Cartan vectors after the Haar draws; forcing x itself realizes the
+    identity group element.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -331,12 +339,9 @@ def sample_orbit(
     base = embed(model, x)
     n = model.n
     points = np.empty((n_samples + len(forced_cartan_points), n, n))
-    gauss = np.empty((_CHUNK, n, n))
-    for start in range(0, n_samples, _CHUNK):
+    for c, start in enumerate(range(0, n_samples, _CHUNK)):
         k = min(_CHUNK, n_samples - start)
-        z = gauss[:k]
-        for i in range(k):
-            np.random.default_rng((seed, start + i)).standard_normal(out=z[i])
+        z = _stream(seed, _HAAR, c).standard_normal((k, n, n))
         q, r = np.linalg.qr(z)
         signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
         signs[signs == 0] = 1.0
@@ -365,9 +370,13 @@ class _FloatGeometry(NamedTuple):
 
 
 def _float_geometry(polytope_: poly.RationalPolytope) -> _FloatGeometry:
+    """Float facets, and the projector onto the affine hull's direction."""
+    d = polytope_.ambient_dim
     origin = np.array([float(c) for c in polytope_.origin])
-    if polytope_.dim == 0 or polytope_.dim == polytope_.ambient_dim:
+    if polytope_.dim == d:
         inplane = None
+    elif polytope_.dim == 0:
+        inplane = np.zeros((d, d))
     else:
         basis = np.array(
             [[float(c) for c in row] for row in polytope_.basis]
@@ -375,44 +384,40 @@ def _float_geometry(polytope_: poly.RationalPolytope) -> _FloatGeometry:
         inplane = basis.T @ np.linalg.inv(basis @ basis.T) @ basis
     normals = np.array(
         [[float(c) for c in nu] for nu, _ in polytope_.facets]
-    ).reshape(len(polytope_.facets), polytope_.ambient_dim)
+    ).reshape(len(polytope_.facets), d)
     return _FloatGeometry(
         origin=origin,
         inplane=inplane,
         normals=normals,
         offsets=np.array([float(c0) for _, c0 in polytope_.facets]),
-        norms=np.array(
-            [math.sqrt(sum(float(c) ** 2 for c in nu)) for nu, _ in polytope_.facets]
-        ),
+        norms=np.linalg.norm(normals, axis=1),
     )
 
 
-def _facet_violations(geom: _FloatGeometry, points: np.ndarray) -> np.ndarray:
-    """Largest signed, normalized facet violation of each point (positive =
-    outside), one ``points @ normals.T`` product per chunk of points."""
-    out = np.full(len(points), -math.inf)
-    if len(geom.offsets):
-        for start in range(0, len(points), _CHUNK):
-            chunk = points[start : start + _CHUNK]
+def _facet_violations(geom: _FloatGeometry, points: np.ndarray):
+    """Per point, the largest signed, normalized facet violation (positive =
+    outside; -inf without facets) and the affine-hull residual, in one pass
+    of ``points @ normals.T`` and ``points @ inplane.T`` products per chunk."""
+    facets = np.full(len(points), -math.inf)
+    residuals = np.zeros(len(points))
+    for start in range(0, len(points), _CHUNK):
+        chunk = points[start : start + _CHUNK]
+        rows = slice(start, start + len(chunk))
+        if len(geom.offsets):
             gaps = (chunk @ geom.normals.T - geom.offsets) / geom.norms
-            out[start : start + len(chunk)] = np.max(gaps, axis=1)
-    return out
-
-
-def _affine_residual(geom: _FloatGeometry, p: np.ndarray, dim0: bool) -> float:
-    rel = p - geom.origin
-    if dim0:
-        return float(np.linalg.norm(rel))
-    if geom.inplane is None:
-        return 0.0
-    return float(np.linalg.norm(rel - geom.inplane @ rel))
+            facets[rows] = np.max(gaps, axis=1)
+        if geom.inplane is not None:
+            rel = chunk - geom.origin
+            residuals[rows] = np.linalg.norm(rel - rel @ geom.inplane.T, axis=1)
+    return facets, residuals
 
 
 def _distances_to(polytope_: poly.RationalPolytope, geom, points) -> np.ndarray:
     """Nonnegative gap between each point and the polytope (0 = inside)."""
-    dim0 = polytope_.dim == 0
-    residuals = np.array([_affine_residual(geom, p, dim0) for p in points])
-    return np.maximum(np.maximum(residuals, _facet_violations(geom, points)), 0.0)
+    if polytope_.ambient_dim != points.shape[-1]:
+        raise ValueError("polytope and points have different dimensions")
+    facets, residuals = _facet_violations(geom, points)
+    return np.maximum(np.maximum(residuals, facets), 0.0)
 
 
 def kostant_check(
@@ -432,19 +437,16 @@ def kostant_check(
     x_norm = math.sqrt(sum(float(c) ** 2 for c in sample.x_cartan))
     if vertex_tol is None:
         vertex_tol = MATCH_TOL * x_norm
-    geom = _float_geometry(polytope_)
-    dim0 = polytope_.dim == 0
-    worst_facet = float(np.max(_facet_violations(geom, sample.projections)))
-    worst_residual = 0.0
-    for p in sample.projections:
-        worst_residual = max(worst_residual, _affine_residual(geom, p, dim0))
+    facets, residuals = _facet_violations(
+        _float_geometry(polytope_), sample.projections
+    )
+    worst_facet = float(np.max(facets))
+    worst_residual = float(np.max(residuals))
     haar = sample.projections[: sample.n_haar]
-    vertex_distances = []
-    for v in polytope_.vertices:
-        vf = np.array([float(c) for c in v])
-        vertex_distances.append(
-            float(np.min(np.linalg.norm(haar - vf, axis=-1)))
-        )
+    vertex_distances = [
+        float(np.min(np.linalg.norm(haar - [float(c) for c in v], axis=-1)))
+        for v in polytope_.vertices
+    ]
     covered = sum(1 for d in vertex_distances if d <= vertex_tol)
     return {
         "max_facet_violation": None if worst_facet == -math.inf else worst_facet,
@@ -464,8 +466,9 @@ def argmax_height(sample: OrbitSample, beta_cartan) -> dict:
 
     The height of a point is the inner product of its projection with
     beta under the root system's inner product, which equals the trace
-    pairing of the matrix point with the embedded beta.  Returns the best
-    value and every sample index within 1e-6 * |x| * |beta| of it.
+    pairing of the matrix point with the embedded beta.  Returns every
+    point's height, the best value and every sample index within
+    1e-6 * |x| * |beta| of it.
     """
     if len(sample.points) == 0:
         raise ValueError("empty sample")
@@ -479,6 +482,7 @@ def argmax_height(sample: OrbitSample, beta_cartan) -> dict:
     tol = MATCH_TOL * x_norm * b_norm
     indices = [int(i) for i in np.nonzero(heights >= best - tol)[0]]
     return {
+        "heights": heights,
         "best_value": best,
         "tolerance": tol,
         "indices": indices,
@@ -582,14 +586,14 @@ def hessian_fd(
     return float(_height_curve_second_derivatives(base, beta_mat, xi[None], h)[0])
 
 
-def _random_directions(spaces: _RootSpaces, seed: int, blocks) -> np.ndarray:
+def _random_directions(spaces: _RootSpaces, rng, blocks) -> np.ndarray:
     """Unit random directions in so(n), one per entry of ``blocks``.
 
-    Direction t draws Gaussian weights from its own generator seeded by
-    (seed, t), on the basis of root-space block ``blocks[t]`` (an index
-    into ``spaces.block_slices``) or, for None, of the whole algebra.  The
-    weights of one block go through one tensordot.  Directions of norm
-    below 1e-12 are dropped.
+    Direction t has Gaussian weights from ``rng`` on the basis of root-space
+    block ``blocks[t]`` (an index into ``spaces.block_slices``) or, for
+    None, of the whole algebra.  The weights of one block are one draw,
+    taken in order of the block's first appearance, and go through one
+    tensordot.  Directions of norm below 1e-12 are dropped.
     """
     basis = spaces.basis_mats
     xis = np.empty((len(blocks),) + basis.shape[1:])
@@ -598,13 +602,9 @@ def _random_directions(spaces: _RootSpaces, seed: int, blocks) -> np.ndarray:
         members.setdefault(block, []).append(t)
     for block, ts in members.items():
         mats = basis if block is None else basis[spaces.block_slices[block]]
-        weights = np.array(
-            [np.random.default_rng((seed, t)).standard_normal(len(mats)) for t in ts]
-        )
+        weights = rng.standard_normal((len(ts), len(mats)))
         xis[ts] = np.tensordot(weights, mats, axes=1)
-    # per-direction dot products, as np.linalg.norm takes them
-    flat = xis.reshape(len(blocks), 1, -1)
-    norms = np.sqrt(flat @ np.swapaxes(flat, -1, -2)).reshape(-1)
+    norms = np.linalg.norm(xis.reshape(len(blocks), -1), axis=1)
     keep = norms >= 1e-12
     return xis[keep] / norms[keep, None, None]
 
@@ -625,8 +625,9 @@ def local_max_test(
     below 1e-6 * |x| * |beta|.  Directions are drawn per root-space block
     first (two sweeps), then across the whole Lie algebra: when a
     chamber-separating root exists, directions concentrated in its block
-    see the positive curvature directly, making the verdict robust.
-    Returns a record with both verdicts and their agreement.
+    see the positive curvature directly, making the verdict robust.  All
+    direction weights come from the stream (seed, _LOCAL_MAX).  Returns a
+    record with both verdicts and their agreement.
     """
     rs = model.root_system
     x = vec(x_cartan)
@@ -642,7 +643,7 @@ def local_max_test(
     blocks = [
         t % n_blocks if t < 2 * n_blocks else None for t in range(n_directions)
     ]
-    xis = _random_directions(spaces, seed, blocks)
+    xis = _random_directions(spaces, _stream(seed, _LOCAL_MAX), blocks)
     seconds = _height_curve_second_derivatives(base, beta_mat, xis, 1e-4)
     worst = max([-math.inf, *seconds.tolist()])
     numeric = worst <= threshold
@@ -666,15 +667,16 @@ def hessian_check(
 ) -> dict:
     """Closed-form Hessian against finite differences on random directions.
 
-    Directions are unit Frobenius norm, so the expected discrepancy is the
-    finite-difference truncation error, a few orders below the matching
-    tolerance of 1e-5 * |x| * |beta| used by the callers.
+    Directions are unit Frobenius norm, drawn from the stream
+    (seed, _HESSIAN), so the expected discrepancy is the finite-difference
+    truncation error, a few orders below the matching tolerance of
+    1e-5 * |x| * |beta| used by the callers.
     """
     closed_form = _closed_form_at(model, x_cartan, beta_cartan)
     spaces = _root_spaces(model)
     base = embed(model, x_cartan)
     beta_mat = embed(model, beta_cartan)
-    xis = _random_directions(spaces, seed, [None] * trials)
+    xis = _random_directions(spaces, _stream(seed, _HESSIAN), [None] * trials)
     numeric = _height_curve_second_derivatives(base, beta_mat, xis, h)
     worst = 0.0
     for xi, fd in zip(xis, numeric.tolist()):
@@ -772,13 +774,15 @@ def verification_report(
        margin, distance over tolerance.  The numeric extreme-orbit
        dimension equals the predicted one;
     4. chamber predicate versus finite-difference verdict on random
-       dominant/arbitrary integer pairs, gated at full agreement;
+       dominant/arbitrary integer pairs (the stream (seed, _PAIRS)), pair
+       k tested with ``local_max_test(seed=k)``, gated at full agreement;
     5. closed-form Hessian versus finite differences for each
-       descriptor's witness and for beta = x, gated at 1e-5 * |x| * |beta|.
+       descriptor's witness and for beta = x, check i with
+       ``hessian_check(seed=i)``, gated at 1e-5 * |x| * |beta|.
 
     Every stage records a ``passed`` flag; the report passes when all do.
-    The sample is fully determined by (model, x, n_samples, seed), so the
-    report is reproducible byte for byte.
+    The report is fully determined by (model, x, n_samples, seed) and the
+    stage sizes, so it is reproducible byte for byte.
     """
     x = vec(x_cartan)
     x_norm = math.sqrt(sum(float(c) ** 2 for c in x))
@@ -816,7 +820,6 @@ def verification_report(
         }
     )
 
-    covector_rows = None
     face_records = []
     faces_passed = True
     for d in descriptors:
@@ -829,11 +832,7 @@ def verification_report(
         geom = _float_geometry(sub)
         arg = argmax_height(sample, d.beta)
         worst = float(np.max(_distances_to(sub, geom, arg["projections"])))
-        covector = np.array(
-            [float(c) for c in metric_covector(model.root_system, d.beta)]
-        )
-        haar_heights = sample.projections[: sample.n_haar] @ covector
-        gap = arg["best_value"] - float(np.max(haar_heights))
+        gap = arg["best_value"] - float(np.max(arg["heights"][: sample.n_haar]))
         ext = ext_face_dim_check(model, x, d)
         ok = bool(worst <= face_tol and ext.numeric_dim == ext.predicted_dim)
         faces_passed = faces_passed and ok
@@ -856,7 +855,7 @@ def verification_report(
         {"name": "faces", "passed": faces_passed, "descriptors": face_records}
     )
 
-    rng = np.random.default_rng((seed, 999983))
+    rng = _stream(seed, _PAIRS)
     agreements = 0
     disagreements = []
     for k in range(n_pairs):

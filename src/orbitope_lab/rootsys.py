@@ -319,22 +319,14 @@ def make_root_system(
 ) -> RootSystem:
     """Build and validate a root system from explicit data.
 
-    ``multiplicities`` may be None (all 1), a sequence aligned with
-    ``positive_roots``, or a mapping from root to multiplicity (a mapping may
-    mention negative roots; negation symmetry is enforced).
+    ``multiplicities`` may be None (all 1) or a sequence aligned with
+    ``positive_roots``.
     """
     simples = tuple(vec(r) for r in simple_roots)
     positives = tuple(vec(r) for r in positive_roots)
     d = len(simples[0]) if simples else 0
     if multiplicities is None:
         mults = tuple(1 for _ in positives)
-    elif isinstance(multiplicities, dict):
-        table = {vec(k): int(v) for k, v in multiplicities.items()}
-        for r, m in list(table.items()):
-            neg = vec_scale(-1, r)
-            if neg in table and table[neg] != m:
-                raise ValueError("multiplicity table inconsistent under negation")
-        mults = tuple(table.get(r, table.get(vec_scale(-1, r), 1)) for r in positives)
     else:
         mults = tuple(int(m) for m in multiplicities)
     gram = identity(d) if inner_product is None else tuple(vec(r) for r in inner_product)
@@ -496,6 +488,8 @@ def root_system_from_text(text: str) -> RootSystem:
                     fail(line_no, "label takes one token")
                 label = args[0]
             elif key == "ambient":
+                if len(args) != 1:
+                    fail(line_no, "ambient takes one integer")
                 ambient = int(args[0])
                 if ambient < 1:
                     fail(line_no, "ambient dimension must be positive")
@@ -510,6 +504,8 @@ def root_system_from_text(text: str) -> RootSystem:
                     for i in range(ambient)
                 )
             elif key == "centralizer":
+                if len(args) != 1:
+                    fail(line_no, "centralizer takes one integer")
                 centralizer = int(args[0])
             elif key == "simple":
                 if ambient is None:

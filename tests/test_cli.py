@@ -242,6 +242,29 @@ def test_domain_errors(capsys):
     )
 
 
+def run_module(*argv):
+    """Run ``python -m orbitope_lab`` where this process finds the package."""
+    src = os.path.dirname(os.path.dirname(orbitope_lab.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "orbitope_lab", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+def test_malformed_system_text_is_a_clean_error(capsys):
+    proc = run_module("describe", "--system", "ambient\nsimple 1", "--x", "1")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: root system text, line 1: ")
+    assert "Traceback" not in proc.stderr
+    err = error_message(
+        capsys, ["describe", "--system", "ambient 1\ncentralizer\nsimple 1", "--x", "1"]
+    )
+    assert err.startswith("error: root system text, line 2: ")
+
+
 def test_bad_paths_are_clean_errors(capsys, tmp_path):
     error_message(capsys, ["verify", "--system", str(tmp_path), "--x", "1,1"])
     missing = tmp_path / "no" / "such" / "dir" / "r.json"
@@ -262,15 +285,7 @@ def test_face_budget_flag(capsys):
 
 
 def test_module_entry_point():
-    # the child finds the package where this process does, installed or not
-    src = os.path.dirname(os.path.dirname(orbitope_lab.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "orbitope_lab", "describe", "--system", "a1", "--x", "1,-1"],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
+    proc = run_module("describe", "--system", "a1", "--x", "1,-1")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["system"]["weyl_order"] == 2
 

@@ -230,8 +230,14 @@ def test_sample_orbit_shapes_and_prefix_stability():
 
 
 def one_haar_draw(seed, i, n):
-    """Draw i of a seeded sampler, by single-matrix calls."""
-    z = np.random.default_rng((seed, i)).standard_normal((n, n))
+    """Draw i of a seeded sampler, by single-matrix calls.
+
+    Draw i is entry i % _CHUNK of chunk i // _CHUNK, whose Gaussians are
+    one sequential fill of the stream (seed, _HAAR, chunk).
+    """
+    chunk, offset = divmod(i, matmodel._CHUNK)
+    rng = np.random.default_rng((seed, matmodel._HAAR, chunk))
+    z = rng.standard_normal((offset + 1, n, n))[offset]
     q, r = np.linalg.qr(z)
     signs = np.sign(np.diagonal(r))
     signs[signs == 0] = 1.0
@@ -287,23 +293,93 @@ def test_hessian_check_makes_one_expm_call(monkeypatch):
 
 
 def test_fd_directions_are_per_draw_seeded():
-    """Each stacked finite difference equals the one-direction computation."""
+    """Each stacked finite difference equals the one-direction computation.
+
+    A call's directions share one stream: the weights are drawn in order
+    of each block's first appearance, here the order of the directions.
+    """
     model = matmodel.make_model("skew", 5)
     spaces = matmodel._root_spaces(model)
     x, beta = (2, 1), (1, -1)
     base, beta_mat = matmodel.embed(model, x), matmodel.embed(model, beta)
     blocks = [0, 1, None, None, 3]
-    xis = matmodel._random_directions(spaces, 9, blocks)
+    stream = matmodel._stream(9, matmodel._LOCAL_MAX)
+    xis = matmodel._random_directions(spaces, stream, blocks)
     seconds = matmodel._height_curve_second_derivatives(base, beta_mat, xis, 1e-4)
+    rng = np.random.default_rng((9, matmodel._LOCAL_MAX, 0))
     for t, block in enumerate(blocks):
         mats = spaces.basis_mats
         if block is not None:
             mats = mats[spaces.block_slices[block]]
-        weights = np.random.default_rng((9, t)).standard_normal(len(mats))
-        xi = np.tensordot(weights, mats, axes=1)
-        xi = xi / float(np.linalg.norm(xi))
+        xi = np.tensordot(rng.standard_normal(len(mats)), mats, axes=1)
+        xi = xi / math.sqrt(np.sum(xi * xi))
         assert np.array_equal(xis[t], xi)
         assert seconds[t] == matmodel.hessian_fd(model, x, beta, xi)
+
+
+class RecordingGenerator:
+    """A generator that adds every Gaussian it draws to ``drawn``."""
+
+    def __init__(self, rng, drawn):
+        self.rng, self.drawn = rng, drawn
+
+    def standard_normal(self, size=None, out=None):
+        values = self.rng.standard_normal(size, out=out)
+        self.drawn.update(np.ravel(values).tolist())
+        return values
+
+
+def gaussians_drawn_by(monkeypatch, call):
+    drawn = set()
+    real = np.random.default_rng
+    with monkeypatch.context() as m:
+        m.setattr(
+            np.random, "default_rng", lambda key: RecordingGenerator(real(key), drawn)
+        )
+        call()
+    return drawn
+
+
+def test_no_two_stages_share_random_numbers(monkeypatch):
+    """Haar draws, local-max directions and Hessian directions at one seed
+    come from disjoint streams."""
+    model = matmodel.make_model("sym", 3)
+    x, beta = (2, 0, -2), (1, 0, -1)
+    haar = gaussians_drawn_by(
+        monkeypatch, lambda: matmodel.sample_orbit(model, x, 50, seed=0)
+    )
+    local = gaussians_drawn_by(
+        monkeypatch, lambda: matmodel.local_max_test(model, x, beta, seed=0)
+    )
+    hessian = gaussians_drawn_by(
+        monkeypatch, lambda: matmodel.hessian_check(model, x, beta, 25, seed=0)
+    )
+    assert len(haar) == 50 * 9 and len(local) > 0 and len(hessian) == 25 * 3
+    assert not haar & local
+    assert not haar & hessian
+    assert not local & hessian
+
+
+def test_verification_report_makes_one_generator_per_chunk_and_call(monkeypatch):
+    keys = []
+    real = np.random.default_rng
+
+    def counting(key):
+        keys.append(key)
+        return real(key)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    model, rs, group, x, hull, descriptors = model_context("sym", 4, (3, 1, -1, -3))
+    n_samples = 2 * matmodel._CHUNK + 1
+    matmodel.verification_report(
+        model, x, n_samples, 7, group=group, orbit_polytope=hull,
+        descriptors=descriptors, n_pairs=5, n_directions=20, hessian_trials=5,
+    )
+    assert len(keys) == len(set(keys)) == 3 + 5 + (len(descriptors) + 1) + 1
+    # equal-length keys with distinct stage tags never name the same stream
+    assert all(len(key) == 3 for key in keys)
+    tags = (matmodel._HAAR, matmodel._LOCAL_MAX, matmodel._HESSIAN, matmodel._PAIRS)
+    assert len(set(tags)) == 4
 
 
 def test_forced_points_are_exact():
@@ -347,6 +423,39 @@ def test_kostant_identity_hook_is_exact():
     assert record["max_facet_violation"] <= 0.0
     # coverage counts only the Haar prefix, which misses every vertex here
     assert record["coverage"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(1, 2, 3)],
+        [(0, 0, 0), (2, 2, 0)],
+        [(2, 0, -2), (0, 2, -2), (-2, 2, 0), (-2, 0, 2), (0, -2, 2), (2, -2, 0)],
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
+    ],
+)
+def test_membership_pass_matches_a_per_point_reference(points):
+    """Stacked facet violations and affine residuals, across a chunk
+    boundary, against per-point least squares on the vertex differences."""
+    p = poly.hull(points)
+    geom = matmodel._float_geometry(p)
+    n_probes = matmodel._CHUNK + 7
+    probes = np.random.default_rng(5).normal(scale=3.0, size=(n_probes, 3))
+    facets, residuals = matmodel._facet_violations(geom, probes)
+    vertices = np.array([[float(c) for c in v] for v in p.vertices])
+    spans = (vertices[1:] - vertices[0]).T
+    for q, facet, residual in zip(probes, facets, residuals):
+        rel = q - vertices[0]
+        if spans.size:
+            rel = rel - spans @ np.linalg.lstsq(spans, rel, rcond=None)[0]
+        assert abs(residual - np.linalg.norm(rel)) <= 1e-12 * (1 + np.linalg.norm(q))
+        gaps = [
+            (sum(float(a) * b for a, b in zip(nu, q)) - float(c0))
+            / math.sqrt(sum(float(a) ** 2 for a in nu))
+            for nu, c0 in p.facets
+        ]
+        expected = max(gaps, default=-math.inf)
+        assert facet == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_kostant_coverage_monotone_in_sample_size():

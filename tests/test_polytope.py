@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import in_convex_hull
 from orbitope_lab import polytope as poly
@@ -113,6 +115,22 @@ def test_contains_matches_oracle():
             Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(2)
         )
         assert poly.contains(p, q) == in_convex_hull(p.vertices, q)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(2, 3), st.data())
+def test_hull_agrees_with_the_membership_oracle(d, data):
+    point = st.tuples(*[st.integers(-3, 3)] * d)
+    points = data.draw(st.lists(point, min_size=1, max_size=7, unique=True))
+    box = [st.integers(min(c), max(c)) for c in zip(*points)]
+    probes = data.draw(st.lists(st.tuples(*box), max_size=6))
+    p = poly.hull(points)
+    for q in points + probes:
+        assert poly.contains(p, q) == in_convex_hull(points, q)
+    extreme = {
+        q for q in points if not in_convex_hull([r for r in points if r != q], q)
+    }
+    assert set(p.vertices) == extreme
 
 
 def test_facets_are_valid_and_tight():

@@ -209,6 +209,14 @@ def test_text_format_rejects_malformed_input():
         root_system_from_text("simple 1 0\n")
     with pytest.raises(ValueError):
         root_system_from_text("ambient 2\nwhatever 1 2\n")
+    for text in (
+        "ambient\nsimple 1\nroot 1\n",
+        "ambient 1 2\nsimple 1\nroot 1\n",
+        "ambient 1\ncentralizer\nsimple 1\nroot 1\n",
+        "ambient 1\ncentralizer 2 3\nsimple 1\nroot 1\n",
+    ):
+        with pytest.raises(ValueError, match=r"^root system text, line [12]: "):
+            root_system_from_text(text)
 
 
 def test_build_root_system_reads_files(tmp_path):
@@ -248,11 +256,12 @@ def test_roots_must_be_closed_under_simple_reflections(capsys):
         assert err.startswith("error:") and "closed under" in err
 
 
-def transformed_text(label, m, coupling):
+def transformed_text(label, m, coupling, mults=None, centralizer=0):
     """Text for label's roots pushed through m, with G = m^-T m^-1.
 
     That G keeps every pairing of the catalog system.  A coupling vector
-    adds one more ambient direction that G couples to the roots.
+    adds one more ambient direction that G couples to the roots.  ``mults``
+    gives the positive roots' multiplicities, in catalog order.
     """
     rs = build_root_system(label)
     m_inv = inverse(m)
@@ -264,27 +273,39 @@ def transformed_text(label, m, coupling):
         gram = tuple(row + (t,) for row, t in zip(gram, c)) + (c + (corner,),)
         pad = (0,)
     flat = " ".join(str(t) for row in gram for t in row)
-    lines = [f"ambient {len(gram)}", f"gram {flat}"]
-    for key, roots in (("simple", rs.simple_roots), ("root", rs.positive_roots)):
-        for r in roots:
-            lines.append(key + " " + " ".join(str(t) for t in matvec(m, r) + pad))
+    lines = [f"ambient {len(gram)}", f"gram {flat}", f"centralizer {centralizer}"]
+    for r in rs.simple_roots:
+        lines.append("simple " + " ".join(str(t) for t in matvec(m, r) + pad))
+    for k, r in enumerate(rs.positive_roots):
+        mult = f" mult {mults[k]}" if mults else ""
+        lines.append("root " + " ".join(str(t) for t in matvec(m, r) + pad) + mult)
     return "\n".join(lines) + "\n"
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(
-    st.sampled_from(("A2", "B2", "BC2", "G2", "A3", "B3", "C3")),
-    st.lists(st.integers(-2, 2), min_size=16, max_size=16),
-    st.one_of(st.none(), st.lists(st.integers(-2, 2), min_size=4, max_size=4)),
-    st.lists(st.fractions(-3, 3, max_denominator=3), min_size=5, max_size=5),
-)
-def test_cached_pairing_data_matches_the_gram_matrix(label, entries, coupling, v):
+CATALOG_LABELS = st.sampled_from(("A2", "B2", "BC2", "G2", "A3", "B3", "C3"))
+MATRIX_ENTRIES = st.lists(st.integers(-2, 2), min_size=16, max_size=16)
+COUPLINGS = st.one_of(st.none(), st.lists(st.integers(-2, 2), min_size=4, max_size=4))
+
+
+def transform(label, entries, coupling):
+    """The catalog system, and the invertible m and coupling drawn for it."""
     catalog = build_root_system(label)
     d = catalog.ambient_dim
     m = tuple(tuple(Fraction(t) for t in entries[i * d:(i + 1) * d]) for i in range(d))
     assume(det(m) != 0)
-    if coupling is not None:
-        coupling = coupling[:d]
+    return catalog, m, None if coupling is None else coupling[:d]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    CATALOG_LABELS,
+    MATRIX_ENTRIES,
+    COUPLINGS,
+    st.lists(st.fractions(-3, 3, max_denominator=3), min_size=5, max_size=5),
+)
+def test_cached_pairing_data_matches_the_gram_matrix(label, entries, coupling, v):
+    catalog, m, coupling = transform(label, entries, coupling)
+    d = catalog.ambient_dim
     rs = build_root_system(transformed_text(label, m, coupling))
     g = rs.inner_product
     n = rs.ambient_dim
@@ -325,6 +346,25 @@ def test_cached_pairing_data_matches_the_gram_matrix(label, entries, coupling, v
     assert rs.positive_coefficients == tuple(
         simple_coefficients(rs, r) for r in rs.positive_roots
     )
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    CATALOG_LABELS,
+    MATRIX_ENTRIES,
+    COUPLINGS,
+    st.lists(st.integers(1, 4), min_size=9, max_size=9),
+    st.integers(0, 3),
+)
+def test_text_format_round_trip_of_random_root_data(
+    label, entries, coupling, mults, centralizer
+):
+    catalog, m, coupling = transform(label, entries, coupling)
+    mults = mults[: len(catalog.positive_roots)]
+    rs = build_root_system(transformed_text(label, m, coupling, mults, centralizer))
+    assert rs.positive_multiplicities == tuple(mults)
+    assert rs.centralizer_dim == centralizer
+    assert root_system_from_text(root_system_to_text(rs)) == rs
 
 
 def test_positive_coefficients_reject_a_root_outside_the_span():
