@@ -156,16 +156,16 @@ def _moved_dominant(rs, group, x):
     return dom
 
 
-def _orbit_polytope(rs, group, x):
+def _orbit_polytope(rs, group, x, budget):
     dom = _moved_dominant(rs, group, x)
-    return dom, poly.hull(weyl.orbit(group, dom.vector))
+    return dom, poly.hull(weyl.orbit(group, dom.vector), budget=budget)
 
 
 def cmd_polytope(args) -> tuple[int, dict]:
     rs, _ = _resolve_system(args)
     x = _resolve_x(args, rs)
     group = weyl.generate(rs)
-    dom, hull = _orbit_polytope(rs, group, x)
+    dom, hull = _orbit_polytope(rs, group, x, args.face_budget)
     orbits = poly.faces_up_to_group(
         hull, poly.vertex_permutations(hull, group), budget=args.face_budget
     )
@@ -217,7 +217,7 @@ def cmd_verify(args) -> tuple[int, dict]:
     rs, model = _resolve_system(args)
     x = _resolve_x(args, rs)
     group = weyl.generate(rs)
-    dom, hull = _orbit_polytope(rs, group, x)
+    dom, hull = _orbit_polytope(rs, group, x, args.face_budget)
     descriptors = list(facelab.classify_faces(rs, group, dom.vector))
     if args.corrupt_descriptor is not None:
         if not 0 <= args.corrupt_descriptor < len(descriptors):
@@ -382,6 +382,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise CliError(f"--seed must be a nonnegative integer, got {args.seed}")
         status, report = args.handler(args)
         text = render_report(report, args.format)
         if args.out:

@@ -276,7 +276,7 @@ def verify_bijection(
     """
     dominant = weyl.to_dominant(group, vec(x)).vector
     if orbit_polytope is None:
-        orbit_polytope = poly.hull(weyl.orbit(group, dominant))
+        orbit_polytope = poly.hull(weyl.orbit(group, dominant), budget=face_budget)
     if descriptors is None:
         descriptors = classify_faces(rs, group, dominant)
 

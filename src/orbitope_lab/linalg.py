@@ -186,7 +186,7 @@ def independent_rows(rows) -> list[int]:
     picked: list[int] = []
     state: list[list[Fraction]] = []
     for idx, row in enumerate(rows):
-        work = list(row)
+        work = [frac(x) for x in row]
         for srow in state:
             lead = next((c for c in range(len(srow)) if srow[c] != 0), None)
             if lead is not None and work[lead] != 0:

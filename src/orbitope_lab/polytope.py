@@ -1,10 +1,11 @@
 """Exact convex polytopes over the rationals.
 
-Hulls and faces are deliberately brute force so they can serve as an
-oracle: a hull is found by testing every hyperplane spanned by d of the
-input points, faces come from intersecting facet vertex sets, and no
-floating point enters at any stage.  Points are reduced to integer coordinates on
-their affine hull first, which keeps the inner loops in machine integers.
+Hulls are found by gift-wrapping (Chand and Kapur, J. ACM 17, 1970) in
+integer coordinates on the points' affine hull: from a first facet, pivot
+across each ridge of each facet found, a facet's ridges being the facets
+of its own points one dimension down.  Faces come from intersecting facet
+vertex sets.  No floating point enters, and the hull reads nothing but the
+points, so it stays an independent check on the root-data classification.
 
 Facet inequalities are stored in ambient coordinates as pairs
 ``(normal, offset)`` meaning ``<normal, x> <= offset``, jointly scaled to
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from operator import mul
 
 from . import weyl
 from .linalg import (
@@ -91,12 +92,122 @@ def _cross(rows) -> tuple:
     return tuple(out)
 
 
-def hull(points) -> RationalPolytope:
+def _echelon(rows) -> list:
+    """A basis of the integer rows' span, by fraction-free elimination: each
+    row kept is zero at the leading entries of the rows kept before it."""
+    basis = []
+    for row in rows:
+        for kept in basis:
+            lead = next(j for j, x in enumerate(kept) if x)
+            if row[lead]:
+                row = [kept[lead] * x - row[lead] * y for x, y in zip(row, kept)]
+        if any(row):
+            g = math.gcd(*row)
+            basis.append([x // g for x in row])
+    return basis
+
+
+def _dot(u, v) -> int:
+    return sum(map(mul, u, v))
+
+
+def _rotate(below, n, b, w, c):
+    """Turn the supporting plane <n, x> = b towards w about its points on
+    <w, x> = c until it meets another point: the one of ``below``, pairs of
+    a point and its gap h = b - <n, p> > 0, that maximizes g / h with
+    g = <w, p> - c.  The new plane is g (<n, x> - b) + h (<w, x> - c) = 0.
+    """
+    bg, bh = None, 1
+    for p, h in below:
+        g = _dot(w, p) - c
+        if bg is None or g * bh > bg * h:
+            bg, bh = g, h
+    normal = [bg * x + bh * y for x, y in zip(n, w)]
+    k = math.gcd(*normal)
+    return tuple(x // k for x in normal), (bg * b + bh * c) // k
+
+
+def _first_facet(coords):
+    """The plane of least x_0, rotated about its points until they span a facet."""
+    d = len(coords[0])
+    n, b = (-1,) + (0,) * (d - 1), -min(p[0] for p in coords)
+    while True:
+        below = [(p, b - _dot(n, p)) for p in coords]
+        t0, *tight = [p for p, h in below if not h]
+        rows = _echelon([[x - y for x, y in zip(p, t0)] for p in tight] + [n])
+        if len(rows) == d:
+            return n, b
+        # w is orthogonal to the points and to n: pad the rows with unit
+        # vectors off their leading entries, then take the cross product
+        leads = {next(j for j, x in enumerate(r) if x) for r in rows}
+        units = [[int(i == j) for i in range(d)] for j in range(d) if j not in leads]
+        w = _cross(rows + units[1:])
+        n, b = _rotate([(p, h) for p, h in below if h], n, b, w, _dot(w, t0))
+
+
+def _ridges(coords, n, tight, budget):
+    """A facet's ridges as (w, c, point indices), where <w, x> <= c holds on
+    the facet with equality on the ridge; and the facet's vertex indices."""
+    if len(tight) == len(n):  # a simplex: each ridge leaves out one point
+        out = []
+        for q in tight:
+            ridge = tuple(i for i in tight if i != q)
+            r0 = coords[ridge[0]]
+            edges = [[x - y for x, y in zip(coords[i], r0)] for i in ridge[1:]]
+            w = _cross(edges + [n])
+            if _dot(w, coords[q]) > _dot(w, r0):
+                w = tuple(-x for x in w)
+            out.append((w, _dot(w, r0), ridge))
+        return out, tight
+    # dropping a coordinate where n != 0 maps the facet's plane onto
+    # Q^(d-1) bijectively, so it maps the facet onto the hull of the images
+    k = next(j for j, x in enumerate(n) if x)
+    sub, verts = _wrap([coords[i][:k] + coords[i][k + 1 :] for i in tight], budget)
+    out = [(w[:k] + (0,) + w[k:], c, tuple(tight[j] for j in on)) for w, c, on in sub]
+    return out, [tight[j] for j in verts]
+
+
+def _wrap(coords, budget):
+    """Facets (normal, offset, point indices) of a full-dimensional set of
+    distinct integer points, and the indices of its vertices.
+
+    Gift-wrapping: from a first facet, pivot across each ridge of each
+    facet found.  Raises ValueError past ``budget`` facets.
+    """
+    if len(coords[0]) == 1:
+        vals = [p[0] for p in coords]
+        hi, lo = vals.index(max(vals)), vals.index(min(vals))
+        return [((1,), vals[hi], (hi,)), ((-1,), -vals[lo], (lo,))], {hi, lo}
+    found = {_first_facet(coords): ()}
+    queue = list(found)
+    done = set()
+    vertices = set()
+    for n, b in queue:
+        below = [(p, b - _dot(n, p)) for p in coords]
+        found[n, b] = tuple(i for i, (_, h) in enumerate(below) if not h)
+        ridges, verts = _ridges(coords, n, found[n, b], budget)
+        vertices.update(verts)
+        below = [pair for pair in below if pair[1]]
+        for w, c, ridge in ridges:
+            if ridge not in done:
+                done.add(ridge)
+                facet = _rotate(below, n, b, w, c)
+                if facet not in found:
+                    found[facet] = ()
+                    queue.append(facet)
+                    if len(found) > budget:
+                        raise ValueError(f"face budget of {budget} exceeded")
+    return [(n, b, tight) for (n, b), tight in found.items()], vertices
+
+
+def hull(points, *, budget: int = DEFAULT_FACE_BUDGET) -> RationalPolytope:
     """Exact convex hull of a finite rational point set.
 
-    Complexity is roughly O(m^(d+1)) in the number m of distinct points and
-    the affine dimension d, which is fine for orbit polytopes of the small
-    reflection groups this library targets.
+    Each facet costs a pass over the m distinct points and the hull of its
+    own points one dimension down; each ridge costs one more pass.  So the
+    work grows with m times the number of faces, not with the C(m, d)
+    point subsets of the affine dimension d.  Raises ValueError when more
+    than ``budget`` facets turn up.
     """
     pts = []
     seen = set()
@@ -131,55 +242,12 @@ def hull(points) -> RationalPolytope:
     scale = math.lcm(*(c.denominator for r in reduced for c in r))
     coords = [tuple(int(c * scale) for c in r) for r in reduced]
 
-    red_facets = []
-    if d == 1:
-        vals = [c[0] for c in coords]
-        red_facets = [((1,), max(vals)), ((-1,), -min(vals))]
-    else:
-        m = len(coords)
-        checked = set()
-        for subset in combinations(range(m), d):
-            base = coords[subset[0]]
-            # the hyperplane's normal; zero when the points are dependent
-            n = _cross([tuple(map(int.__sub__, coords[i], base)) for i in subset[1:]])
-            if not any(n):
-                continue
-            b = sum(a * c for a, c in zip(n, base))
-            g = math.gcd(*n, b)
-            if next(v for v in n if v != 0) < 0:
-                g = -g
-            key = tuple(v // g for v in n) + (b // g,)
-            if key in checked:
-                continue
-            checked.add(key)
-            below = True
-            above = True
-            for c in coords:
-                s = sum(a * v for a, v in zip(n, c))
-                if s > b:
-                    below = False
-                elif s < b:
-                    above = False
-                if not below and not above:
-                    break
-            if below:
-                red_facets.append((n, b))
-            elif above:
-                red_facets.append((tuple(-a for a in n), -b))
-
-    tight_normals = [[] for _ in coords]
-    for n, b in red_facets:
-        for i, c in enumerate(coords):
-            if sum(a * v for a, v in zip(n, c)) == b:
-                tight_normals[i].append(n)
-    vertex_ids = [
-        i for i in range(len(coords)) if rank(mat(tight_normals[i])) == d
-    ]
+    red_facets, vertex_ids = _wrap(coords, budget)
     vertices = tuple(sorted(pts[i] for i in vertex_ids))
 
     lift = transpose(proj)
     facets = []
-    for n, b in red_facets:
+    for n, b, _ in red_facets:
         nu = matvec(lift, vec(n))
         offset = Fraction(b, scale) + dot(nu, p0)
         joint = primitive(tuple(nu) + (offset,))

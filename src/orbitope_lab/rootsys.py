@@ -304,7 +304,11 @@ def _validate(rs: RootSystem) -> RootSystem:
     for a in rs.simple_roots:
         if a not in pos:
             raise ValueError("every simple root must be listed as a positive root")
-    rs.simple_reflection_perms  # raises unless the roots are closed
+    mults = rs.positive_multiplicities
+    n_pos = len(mults)
+    for perm in rs.simple_reflection_perms:  # raises unless the roots are closed
+        if any(mults[perm[k] % n_pos] != mults[k] for k in range(n_pos)):
+            raise ValueError("multiplicities are not invariant under the Weyl group")
     return rs
 
 

@@ -1,6 +1,7 @@
 """Independent reference implementations for cross-checking test values.
 
-Nothing here reuses the library's decision procedures: convex-hull
+Nothing here reuses the library's decision procedures: convex hulls
+are found by testing every hyperplane through d of the points, convex-hull
 membership goes through a phase-one simplex over exact rationals, the
 reflection group is enumerated as exact matrices built from the simple
 roots and the Gram matrix alone (orbits, dominant representatives,
@@ -13,9 +14,13 @@ package is what the tests freeze.
 
 import math
 from fractions import Fraction
+from itertools import combinations
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
+
+from orbitope_lab.polytope import RationalPolytope
 
 
 def _dot(u, v):
@@ -239,6 +244,102 @@ def in_convex_hull(points, target) -> bool:
         tab[i][-1] for i in range(rows) if basis[i] >= m
     )
     return optimum == 0
+
+
+def _det(m):
+    """Determinant by expansion along the first row; 1 for the empty matrix."""
+    if len(m) < 2:
+        return m[0][0] if m else 1
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    return sum(
+        (-1) ** j * m[0][j] * _det([r[:j] + r[j + 1 :] for r in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
+def _cross(rows):
+    """Entry j is (-1)^j times the minor of the d - 1 rows without column j."""
+    return tuple(
+        (-1) ** j * _det([r[:j] + r[j + 1 :] for r in rows])
+        for j in range(len(rows) + 1)
+    )
+
+
+def hull_by_subsets(points) -> RationalPolytope:
+    """The convex hull, by testing every hyperplane through d of the points.
+
+    The affine hull's basis is the first independent run of differences
+    p - p0 (independence by a nonzero Gram determinant).  Each point gets
+    integer coordinates y_i = s <b_i, p - p0>, and a hyperplane through d
+    of them is a facet when every point lies on one side of it.  A facet
+    <a, y> <= c is <sum a_i b_i, x> <= c / s + <sum a_i b_i, p0>, scaled
+    to coprime integers.  A point is a vertex when the facets through it
+    meet in it alone.
+    """
+    pts = list(dict.fromkeys(tuple(Fraction(c) for c in p) for p in points))
+    p0 = pts[0]
+    basis = []
+    for p in pts[1:]:
+        trial = basis + [tuple(a - b for a, b in zip(p, p0))]
+        if _det([[_dot(u, v) for v in trial] for u in trial]):
+            basis = trial
+    d = len(basis)
+    if d == 0:
+        return RationalPolytope(len(p0), 0, (p0,), (), p0, ())
+    rows = [[_dot(b, [a - c for a, c in zip(p, p0)]) for b in basis] for p in pts]
+    s = math.lcm(*(v.denominator for r in rows for v in r))
+    ys = [tuple(int(v * s) for v in r) for r in rows]
+
+    planes = set()
+    red_facets = {}
+    for subset in combinations(range(len(ys)), d):
+        base = ys[subset[0]]
+        a = _cross([tuple(u - v for u, v in zip(ys[i], base)) for i in subset[1:]])
+        if not any(a):
+            continue
+        c = sum(map(mul, a, base))
+        g = math.gcd(*a) * (1 if next(u for u in a if u) > 0 else -1)
+        a, c = tuple(u // g for u in a), c // g
+        if (a, c) in planes:
+            continue
+        planes.add((a, c))
+        over = under = False
+        for y in ys:
+            value = sum(map(mul, a, y))
+            over = over or value > c
+            under = under or value < c
+            if over and under:
+                break
+        else:
+            red_facets[(tuple(-u for u in a), -c) if over else (a, c)] = None
+
+    tight = [
+        {k for k, y in enumerate(ys) if sum(u * v for u, v in zip(a, y)) == c}
+        for a, c in red_facets
+    ]
+    vertices = []
+    for k, p in enumerate(pts):
+        meet = set(range(len(pts)))
+        for t in tight:
+            if k in t:
+                meet &= t
+        if meet == {k}:
+            vertices.append(p)
+
+    facets = []
+    for a, c in red_facets:
+        nu = [sum(ai * b[j] for ai, b in zip(a, basis)) for j in range(len(p0))]
+        joint = nu + [Fraction(c, s) + _dot(nu, p0)]
+        scale = math.lcm(*(v.denominator for v in joint))
+        ints = [int(v * scale) for v in joint]
+        g = math.gcd(*ints)
+        ints = [Fraction(v // g) for v in ints]
+        facets.append((tuple(ints[:-1]), ints[-1]))
+    return RationalPolytope(
+        len(p0), d, tuple(sorted(vertices)), tuple(sorted(facets)), p0, tuple(basis)
+    )
 
 
 def majorized_by(values, bound, tol=1e-9):

@@ -284,6 +284,33 @@ def test_face_budget_flag(capsys):
     assert "budget" in err
 
 
+def test_hull_face_budget_is_a_clean_error(capsys):
+    # A4 at a regular point has 30 facets; the hull stops past 20
+    err = error_message(
+        capsys,
+        ["verify", "--system", "a4", "--coords", "weights", "--x", "1,1,1,1",
+         "--face-budget", "20"],
+    )
+    assert err == "error: face budget of 20 exceeded\n"
+
+
+def test_negative_seed_is_a_clean_error(capsys):
+    err = error_message(
+        capsys, ["verify", "--model", "sym2", "--x", "1,-1", "--seed", "-1"]
+    )
+    assert "--seed" in err and "-1" in err
+
+
+@pytest.mark.parametrize("label", ["a4", "d4"])
+def test_verify_at_a_regular_rank4_point(capsys, label):
+    status, report = run_json(
+        capsys, ["verify", "--system", label, "--coords", "weights", "--x", "1,1,1,1"]
+    )
+    assert status == 0
+    assert report["passed"]
+    assert report["stages"][0]["face_orbit_count"] == 15
+
+
 def test_module_entry_point():
     proc = run_module("describe", "--system", "a1", "--x", "1,-1")
     assert proc.returncode == 0

@@ -102,3 +102,5 @@ def test_independent_rows_selects_basis():
     assert picked == [0, 2]
     sub = [a[i] for i in picked]
     assert rank(sub) == rank(a)
+    # plain ints: the third row is the first minus the second
+    assert independent_rows([[3, 4, -8], [-1, 7, 6], [4, -3, -14]]) == [0, 1]

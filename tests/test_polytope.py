@@ -1,16 +1,24 @@
 """Exact convex hulls, faces, and group actions on orbit polytopes."""
 
+import importlib.util
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import in_convex_hull
+from oracles import hull_by_subsets, in_convex_hull
 from orbitope_lab import polytope as poly
-from orbitope_lab.linalg import mat, nullspace, primitive
-from orbitope_lab.rootsys import build_root_system, metric_covector
+from orbitope_lab.facelab import parabolic_subgroup
+from orbitope_lab.linalg import mat, nullspace, primitive, rank
+from orbitope_lab.rootsys import (
+    build_root_system,
+    fundamental_coweights,
+    metric_covector,
+)
 from orbitope_lab.weyl import generate, orbit
 
 
@@ -250,3 +258,98 @@ def test_hull_with_gram_scaled_covectors():
     beta = (2, 0, -2)
     cov = metric_covector(rs, beta)
     assert poly.support(p, cov)[0] == 8
+
+
+def benchmark_orbits(workload):
+    """The orbit of every case of a benchmark workload, at both of its seeds."""
+    path = Path(__file__).resolve().parents[1] / "verifybench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("verifybench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    points = set()
+    for seed in (workloads.DEFAULT_SEED, workloads.CONFIRM_SEED):
+        for _, argv in workloads.cases(workload, seed):
+            label = argv[argv.index("--system") + 1]
+            coeffs = argv[argv.index("--x") + 1]
+            points.add((label, tuple(int(c) for c in coeffs.split(","))))
+    for label, coeffs in sorted(points):
+        rs = build_root_system(label)
+        weights = fundamental_coweights(rs)
+        x = [sum(c * w[i] for c, w in zip(coeffs, weights))
+             for i in range(rs.ambient_dim)]
+        yield label, coeffs, orbit(generate(rs), x)
+
+
+@pytest.mark.parametrize("workload", ["exact-rank3", "exact-rank4"])
+def test_hull_matches_the_subset_oracle_on_benchmark_orbits(workload):
+    for label, coeffs, points in benchmark_orbits(workload):
+        assert poly.hull(points) == hull_by_subsets(points), (label, coeffs)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_hull_matches_the_subset_oracle(d, data):
+    # integer points of a k-dimensional lattice, embedded affinely in Z^d
+    k = data.draw(st.integers(0, d))
+    small = st.integers(-3, 3)
+    base = data.draw(st.lists(st.tuples(*[small] * k), min_size=1, max_size=8))
+    embed = data.draw(st.lists(st.tuples(*[small] * k), min_size=d, max_size=d))
+    shift = data.draw(st.tuples(*[small] * d))
+    points = [
+        tuple(s + sum(a * b for a, b in zip(row, p)) for row, s in zip(embed, shift))
+        for p in base
+    ]
+    points += data.draw(st.lists(st.sampled_from(points), max_size=3))
+    assert poly.hull(points) == hull_by_subsets(points)
+
+
+def regular_orbit_hull(label):
+    rs = build_root_system(label)
+    group = generate(rs)
+    x = [sum(w[i] for w in fundamental_coweights(rs)) for i in range(rs.ambient_dim)]
+    points = orbit(group, x)
+    return rs, group, points, poly.hull(points)
+
+
+@pytest.mark.parametrize("label", ["A4", "D4"])
+def test_regular_rank4_hull_certificates(label):
+    rs, group, points, p = regular_orbit_hull(label)
+    d = p.dim
+    assert (d, len(p.vertices)) == (4, group.order)
+    scale = math.lcm(*(c.denominator for q in points for c in q))
+    ints = [tuple(int(c * scale) for c in q) for q in points]
+    tight_sets = []
+    for nu, c in p.facets:
+        values = [sum(int(a) * b for a, b in zip(nu, q)) for q in ints]
+        assert max(values) == int(c) * scale
+        tight = frozenset(i for i, v in enumerate(values) if v == int(c) * scale)
+        tight_sets.append(tight)
+
+    def affine_rank(ids):
+        first, *rest = sorted(ids)
+        base = points[first]
+        return rank(mat([[a - b for a, b in zip(points[i], base)] for i in rest]))
+
+    assert all(affine_rank(t) == d - 1 for t in tight_sets)
+    ridges = {
+        s & t
+        for i, s in enumerate(tight_sets)
+        for t in tight_sets[:i]
+        if len(s & t) >= d - 1 and affine_rank(s & t) == d - 2
+    }
+    assert ridges
+    for ridge in ridges:
+        assert sum(ridge <= t for t in tight_sets) == 2
+    # one facet orbit per maximal parabolic subgroup W_(S - i)
+    simple = set(range(rs.rank))
+    assert len(p.facets) == sum(
+        group.order // parabolic_subgroup(group, simple - {i}).order
+        for i in simple
+    )
+
+
+def test_hull_face_budget():
+    points = orbit(generate(build_root_system("B3")), (3, 2, 1))
+    with pytest.raises(ValueError, match="^face budget of 20 exceeded$"):
+        poly.hull(points, budget=20)
+    assert len(poly.hull(points, budget=26).facets) == 26

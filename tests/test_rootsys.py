@@ -180,7 +180,7 @@ def test_text_format_round_trip():
             "simple 1/2 -1/2",
             "simple 0 1/2",
             "root 1/2 -1/2 mult 2",
-            "root 0 1/2 mult 2",
+            "root 0 1/2",
             "root 1/2 1/2 mult 2",
             "root 1/2 0",
         ]
@@ -217,6 +217,12 @@ def test_text_format_rejects_malformed_input():
     ):
         with pytest.raises(ValueError, match=r"^root system text, line [12]: "):
             root_system_from_text(text)
+    # B2 whose conjugate short roots e2 and e1 carry multiplicities 3 and 1
+    with pytest.raises(ValueError, match="not invariant under the Weyl group"):
+        root_system_from_text(
+            "ambient 2\nsimple 1 -1\nsimple 0 1\n"
+            "root 1 -1\nroot 0 1 mult 3\nroot 1 0 mult 1\nroot 1 1\n"
+        )
 
 
 def test_build_root_system_reads_files(tmp_path):
@@ -360,7 +366,12 @@ def test_text_format_round_trip_of_random_root_data(
     label, entries, coupling, mults, centralizer
 ):
     catalog, m, coupling = transform(label, entries, coupling)
-    mults = mults[: len(catalog.positive_roots)]
+    # one multiplicity per root length, so that the Weyl group keeps them
+    by_length = {}
+    mults = [
+        by_length.setdefault(sum(t * t for t in r), k)
+        for r, k in zip(catalog.positive_roots, mults)
+    ]
     rs = build_root_system(transformed_text(label, m, coupling, mults, centralizer))
     assert rs.positive_multiplicities == tuple(mults)
     assert rs.centralizer_dim == centralizer
