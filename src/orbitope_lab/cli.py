@@ -384,6 +384,10 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise CliError(f"--seed must be a nonnegative integer, got {args.seed}")
+        counts = {"--face-budget": args.face_budget, "--n-samples": args.n_samples}
+        for flag, value in counts.items():
+            if value < 1:
+                raise CliError(f"{flag} must be a positive integer, got {value}")
         status, report = args.handler(args)
         text = render_report(report, args.format)
         if args.out:

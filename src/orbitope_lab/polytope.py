@@ -3,9 +3,11 @@
 Hulls are found by gift-wrapping (Chand and Kapur, J. ACM 17, 1970) in
 integer coordinates on the points' affine hull: from a first facet, pivot
 across each ridge of each facet found, a facet's ridges being the facets
-of its own points one dimension down.  Faces come from intersecting facet
-vertex sets.  No floating point enters, and the hull reads nothing but the
-points, so it stays an independent check on the root-data classification.
+of its own points one dimension down.  That recursion meets every face
+of every dimension, so the hull keeps them: the face lattice is a by-product,
+not a second pass.  No floating point enters, and the hull reads nothing but
+the points, so it stays an independent check on the root-data
+classification.
 
 Facet inequalities are stored in ambient coordinates as pairs
 ``(normal, offset)`` meaning ``<normal, x> <= offset``, jointly scaled to
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from operator import mul
 
 from . import weyl
@@ -26,11 +29,9 @@ from .linalg import (
     dot,
     independent_rows,
     inverse,
-    mat,
     matmul,
     matvec,
     primitive,
-    rank,
     solve,
     transpose,
     vec,
@@ -47,6 +48,8 @@ class RationalPolytope:
     ``dim`` is the dimension of the affine hull; ``origin`` and ``basis``
     describe that hull (every polytope point is ``origin + sum c_i b_i``).
     For a 0-dimensional polytope ``facets`` and ``basis`` are empty.
+    ``faces`` holds every nonempty face, the polytope itself included, as
+    :class:`PolytopeFace` sorted by (dim, vertex indices).
     """
 
     ambient_dim: int
@@ -55,6 +58,7 @@ class RationalPolytope:
     facets: tuple
     origin: Vec
     basis: tuple
+    faces: tuple
 
 
 @dataclass(frozen=True)
@@ -147,8 +151,10 @@ def _first_facet(coords):
 
 def _ridges(coords, n, tight, budget):
     """A facet's ridges as (w, c, point indices), where <w, x> <= c holds on
-    the facet with equality on the ridge; and the facet's vertex indices."""
-    if len(tight) == len(n):  # a simplex: each ridge leaves out one point
+    the facet with equality on the ridge; and the facet's faces, itself
+    included, as {point indices: dim}."""
+    d = len(n)
+    if len(tight) == d:  # a simplex: each ridge leaves out one point
         out = []
         for q in tight:
             ridge = tuple(i for i in tight if i != q)
@@ -158,18 +164,24 @@ def _ridges(coords, n, tight, budget):
             if _dot(w, coords[q]) > _dot(w, r0):
                 w = tuple(-x for x in w)
             out.append((w, _dot(w, r0), ridge))
-        return out, tight
+        # and its faces are its nonempty point subsets
+        faces = {s: k - 1 for k in range(1, d + 1) for s in combinations(tight, k)}
+        return out, faces
     # dropping a coordinate where n != 0 maps the facet's plane onto
     # Q^(d-1) bijectively, so it maps the facet onto the hull of the images
     k = next(j for j, x in enumerate(n) if x)
-    sub, verts = _wrap([coords[i][:k] + coords[i][k + 1 :] for i in tight], budget)
+    sub, sub_faces = _wrap([coords[i][:k] + coords[i][k + 1 :] for i in tight], budget)
     out = [(w[:k] + (0,) + w[k:], c, tuple(tight[j] for j in on)) for w, c, on in sub]
-    return out, [tight[j] for j in verts]
+    faces = {tuple(tight[j] for j in on): dim for on, dim in sub_faces.items()}
+    faces[tight] = d - 1
+    return out, faces
 
 
 def _wrap(coords, budget):
     """Facets (normal, offset, point indices) of a full-dimensional set of
-    distinct integer points, and the indices of its vertices.
+    distinct integer points, and its proper faces as {point indices: dim}.
+    A face's key lists every point on it, sorted, so the facets that share
+    a face give it the same key; the vertices are the faces of dim 0.
 
     Gift-wrapping: from a first facet, pivot across each ridge of each
     facet found.  Raises ValueError past ``budget`` facets.
@@ -177,16 +189,17 @@ def _wrap(coords, budget):
     if len(coords[0]) == 1:
         vals = [p[0] for p in coords]
         hi, lo = vals.index(max(vals)), vals.index(min(vals))
-        return [((1,), vals[hi], (hi,)), ((-1,), -vals[lo], (lo,))], {hi, lo}
+        faces = {(hi,): 0, (lo,): 0}
+        return [((1,), vals[hi], (hi,)), ((-1,), -vals[lo], (lo,))], faces
     found = {_first_facet(coords): ()}
     queue = list(found)
     done = set()
-    vertices = set()
+    faces = {}
     for n, b in queue:
         below = [(p, b - _dot(n, p)) for p in coords]
         found[n, b] = tuple(i for i, (_, h) in enumerate(below) if not h)
-        ridges, verts = _ridges(coords, n, found[n, b], budget)
-        vertices.update(verts)
+        ridges, facet_faces = _ridges(coords, n, found[n, b], budget)
+        faces.update(facet_faces)
         below = [pair for pair in below if pair[1]]
         for w, c, ridge in ridges:
             if ridge not in done:
@@ -197,7 +210,7 @@ def _wrap(coords, budget):
                     queue.append(facet)
                     if len(found) > budget:
                         raise ValueError(f"face budget of {budget} exceeded")
-    return [(n, b, tight) for (n, b), tight in found.items()], vertices
+    return [(n, b, tight) for (n, b), tight in found.items()], faces
 
 
 def hull(points, *, budget: int = DEFAULT_FACE_BUDGET) -> RationalPolytope:
@@ -206,7 +219,8 @@ def hull(points, *, budget: int = DEFAULT_FACE_BUDGET) -> RationalPolytope:
     Each facet costs a pass over the m distinct points and the hull of its
     own points one dimension down; each ridge costs one more pass.  So the
     work grows with m times the number of faces, not with the C(m, d)
-    point subsets of the affine dimension d.  Raises ValueError when more
+    point subsets of the affine dimension d.  The faces met on the way
+    down are kept as the polytope's ``faces``.  Raises ValueError when more
     than ``budget`` facets turn up.
     """
     pts = []
@@ -234,6 +248,7 @@ def hull(points, *, budget: int = DEFAULT_FACE_BUDGET) -> RationalPolytope:
             facets=(),
             origin=p0,
             basis=(),
+            faces=(PolytopeFace((0,), 0),),
         )
 
     bbt_inv = inverse(matmul(basis, transpose(basis)))
@@ -242,8 +257,18 @@ def hull(points, *, budget: int = DEFAULT_FACE_BUDGET) -> RationalPolytope:
     scale = math.lcm(*(c.denominator for r in reduced for c in r))
     coords = [tuple(int(c * scale) for c in r) for r in reduced]
 
-    red_facets, vertex_ids = _wrap(coords, budget)
-    vertices = tuple(sorted(pts[i] for i in vertex_ids))
+    red_facets, red_faces = _wrap(coords, budget)
+    order = sorted(
+        (on[0] for on, dim in red_faces.items() if not dim), key=pts.__getitem__
+    )
+    vertices = tuple(pts[i] for i in order)
+    index = {i: k for k, i in enumerate(order)}
+    faces = [
+        PolytopeFace(tuple(sorted(index[i] for i in on if i in index)), dim)
+        for on, dim in red_faces.items()
+    ]
+    faces.append(PolytopeFace(tuple(range(len(vertices))), d))
+    faces.sort(key=lambda f: (f.dim, f.vertex_indices))
 
     lift = transpose(proj)
     facets = []
@@ -261,6 +286,7 @@ def hull(points, *, budget: int = DEFAULT_FACE_BUDGET) -> RationalPolytope:
         facets=tuple(facets),
         origin=p0,
         basis=basis,
+        faces=tuple(faces),
     )
 
 
@@ -286,56 +312,22 @@ def exposed_face(polytope: RationalPolytope, beta) -> PolytopeFace:
     whole polytope.
     """
     _, ids = support(polytope, beta)
-    return PolytopeFace(vertex_indices=ids, dim=_affine_dim(polytope, ids))
-
-
-def _affine_dim(polytope: RationalPolytope, ids) -> int:
-    if len(ids) <= 1:
-        return 0
-    base = polytope.vertices[ids[0]]
-    return rank(mat([vec_sub(polytope.vertices[i], base) for i in ids[1:]]))
+    return next(f for f in polytope.faces if f.vertex_indices == ids)
 
 
 def face_lattice(
     polytope: RationalPolytope, *, budget: int = DEFAULT_FACE_BUDGET
 ) -> tuple:
-    """All nonempty faces, the whole polytope included, the empty face not.
+    """All nonempty faces, the whole polytope included, the empty face not,
+    sorted by (dim, vertex indices).
 
-    Faces are generated by closing the facet vertex sets under pairwise
-    intersection, which yields exactly the proper nonempty faces; the
-    improper face is appended.  Raises ValueError when more than ``budget``
-    faces appear.
+    :func:`hull` collects them from its recursion into each facet's own
+    hull, so this only checks them against ``budget``: it raises
+    ValueError when there are more than ``budget`` faces.
     """
-    everything = frozenset(range(len(polytope.vertices)))
-    sets = set()
-    for nu, c in polytope.facets:
-        tight = frozenset(
-            i for i, v in enumerate(polytope.vertices) if dot(nu, v) == c
-        )
-        if tight:
-            sets.add(tight)
-    frontier = set(sets)
-    while frontier:
-        fresh = set()
-        for new in frontier:
-            for old in sets:
-                cut = new & old
-                if cut and cut not in sets and cut not in fresh:
-                    fresh.add(cut)
-        sets |= fresh
-        if len(sets) + 1 > budget:
-            raise ValueError(f"face budget of {budget} exceeded")
-        frontier = fresh
-    sets.add(everything)
-    faces = [
-        PolytopeFace(
-            vertex_indices=tuple(sorted(s)),
-            dim=_affine_dim(polytope, tuple(sorted(s))),
-        )
-        for s in sets
-    ]
-    faces.sort(key=lambda f: (f.dim, f.vertex_indices))
-    return tuple(faces)
+    if len(polytope.faces) > budget:
+        raise ValueError(f"face budget of {budget} exceeded")
+    return polytope.faces
 
 
 def vertex_permutations(polytope: RationalPolytope, group) -> tuple:

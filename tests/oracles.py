@@ -1,7 +1,8 @@
 """Independent reference implementations for cross-checking test values.
 
 Nothing here reuses the library's decision procedures: convex hulls
-are found by testing every hyperplane through d of the points, convex-hull
+are found by testing every hyperplane through d of the points, face
+lattices by closing the facets' vertex sets under intersection, convex-hull
 membership goes through a phase-one simplex over exact rationals, the
 reflection group is enumerated as exact matrices built from the simple
 roots and the Gram matrix alone (orbits, dominant representatives,
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from orbitope_lab.polytope import RationalPolytope
+from orbitope_lab.polytope import PolytopeFace, RationalPolytope
 
 
 def _dot(u, v):
@@ -267,6 +268,48 @@ def _cross(rows):
     )
 
 
+def _rank(rows):
+    """Rank of rational rows, by Gaussian elimination over Fraction."""
+    rows = [[Fraction(c) for c in r] for r in rows]
+    r = 0
+    for j in range(len(rows[0]) if rows else 0):
+        p = next((i for i in range(r, len(rows)) if rows[i][j]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][j] / rows[r][j]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def face_lattice_by_intersections(vertices, facets) -> tuple:
+    """All nonempty faces of conv(vertices), the whole polytope included.
+
+    The facets' tight vertex sets, closed under pairwise intersection, are
+    the proper nonempty faces; the vertex set itself is the improper one.
+    A face's dim is the rank of its vertices' differences.  Faces are
+    sorted by (dim, vertex indices).
+    """
+    sets = {
+        frozenset(i for i, v in enumerate(vertices) if _dot(nu, v) == c)
+        for nu, c in facets
+    }
+    frontier = set(sets)
+    while frontier:
+        frontier = {a & b for a in frontier for b in sets} - sets - {frozenset()}
+        sets |= frontier
+    sets.add(frozenset(range(len(vertices))))
+    faces = []
+    for s in sets:
+        ids = tuple(sorted(s))
+        base = vertices[ids[0]]
+        rows = [[a - b for a, b in zip(vertices[i], base)] for i in ids[1:]]
+        faces.append(PolytopeFace(ids, _rank(rows)))
+    return tuple(sorted(faces, key=lambda f: (f.dim, f.vertex_indices)))
+
+
 def hull_by_subsets(points) -> RationalPolytope:
     """The convex hull, by testing every hyperplane through d of the points.
 
@@ -276,7 +319,8 @@ def hull_by_subsets(points) -> RationalPolytope:
     of them is a facet when every point lies on one side of it.  A facet
     <a, y> <= c is <sum a_i b_i, x> <= c / s + <sum a_i b_i, p0>, scaled
     to coprime integers.  A point is a vertex when the facets through it
-    meet in it alone.
+    meet in it alone.  The faces come from
+    :func:`face_lattice_by_intersections`.
     """
     pts = list(dict.fromkeys(tuple(Fraction(c) for c in p) for p in points))
     p0 = pts[0]
@@ -287,7 +331,8 @@ def hull_by_subsets(points) -> RationalPolytope:
             basis = trial
     d = len(basis)
     if d == 0:
-        return RationalPolytope(len(p0), 0, (p0,), (), p0, ())
+        faces = face_lattice_by_intersections((p0,), ())
+        return RationalPolytope(len(p0), 0, (p0,), (), p0, (), faces)
     rows = [[_dot(b, [a - c for a, c in zip(p, p0)]) for b in basis] for p in pts]
     s = math.lcm(*(v.denominator for r in rows for v in r))
     ys = [tuple(int(v * s) for v in r) for r in rows]
@@ -337,9 +382,9 @@ def hull_by_subsets(points) -> RationalPolytope:
         g = math.gcd(*ints)
         ints = [Fraction(v // g) for v in ints]
         facets.append((tuple(ints[:-1]), ints[-1]))
-    return RationalPolytope(
-        len(p0), d, tuple(sorted(vertices)), tuple(sorted(facets)), p0, tuple(basis)
-    )
+    vertices, facets = tuple(sorted(vertices)), tuple(sorted(facets))
+    faces = face_lattice_by_intersections(vertices, facets)
+    return RationalPolytope(len(p0), d, vertices, facets, p0, tuple(basis), faces)
 
 
 def majorized_by(values, bound, tol=1e-9):

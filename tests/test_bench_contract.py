@@ -91,3 +91,5 @@ def test_traced_verify_calls_each_stage_once():
         assert layers["weyl.group_order"] == order
         assert layers["polytope.vertex_permutations.calls"] == 1
         assert layers["matmodel.kostant_check.calls"] == kostant
+    assert out["b2"]["polytope.hull.calls"] == 1
+    assert out["b2"]["polytope.face_lattice.calls"] == 1

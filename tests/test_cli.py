@@ -294,11 +294,30 @@ def test_hull_face_budget_is_a_clean_error(capsys):
     assert err == "error: face budget of 20 exceeded\n"
 
 
+def test_lattice_face_budget_is_a_clean_error(capsys):
+    # B3 at a regular point: 26 facets pass the hull, 147 faces do not
+    err = error_message(
+        capsys, ["verify", "--system", "B3", "--x", "3,2,1", "--face-budget", "100"]
+    )
+    assert err == "error: face budget of 100 exceeded\n"
+
+
 def test_negative_seed_is_a_clean_error(capsys):
     err = error_message(
         capsys, ["verify", "--model", "sym2", "--x", "1,-1", "--seed", "-1"]
     )
     assert "--seed" in err and "-1" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--face-budget", "-3"), ("--face-budget", "0"), ("--n-samples", "0")],
+)
+def test_nonpositive_counts_are_clean_errors(capsys, flag, value):
+    err = error_message(
+        capsys, ["verify", "--model", "sym2", "--x", "1,-1", flag, value]
+    )
+    assert err == f"error: {flag} must be a positive integer, got {value}\n"
 
 
 @pytest.mark.parametrize("label", ["a4", "d4"])

@@ -2,6 +2,7 @@
 
 import dataclasses
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -283,3 +284,31 @@ def test_classification_invariant_under_scaling_and_group_moves(
         facelab.verify_bijection(rs, group, moved).records
         == facelab.verify_bijection(rs, group, x).records
     )
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    st.sampled_from(
+        ("A1", "BC1", "A2", "B2", "C2", "BC2", "G2", "D2",
+         "A3", "B3", "C3", "BC3", "D3")
+    ),
+    st.data(),
+)
+def test_face_orbits_are_counted_by_x_connected_subsets(label, data):
+    rs, group = system(label)
+    walls = data.draw(st.sets(st.integers(0, rs.rank - 1), max_size=rs.rank - 1))
+    x = zeros(rs.ambient_dim)
+    for i, w in enumerate(fundamental_coweights(rs)):
+        if i not in walls:
+            x = vec_add(x, vec_scale(data.draw(st.integers(1, 3)), w))
+    expected = sum(
+        1
+        for size in range(rs.rank + 1)
+        for subset in combinations(range(rs.rank), size)
+        if facelab.is_x_connected(rs, subset, x)
+        and len(facelab.saturation(rs, subset, x)) < rs.rank
+    )
+    p = poly.hull(orbit(group, x))
+    orbits = poly.faces_up_to_group(p, poly.vertex_permutations(p, group))
+    assert len(orbits) == expected
+    assert sum(size for _, size in orbits) == len(poly.face_lattice(p)) - 1

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import hull_by_subsets, in_convex_hull
+from oracles import face_lattice_by_intersections, hull_by_subsets, in_convex_hull
 from orbitope_lab import polytope as poly
 from orbitope_lab.facelab import parabolic_subgroup
 from orbitope_lab.linalg import mat, nullspace, primitive, rank
@@ -245,9 +245,14 @@ def test_vertex_permutations_and_bad_group():
 
 
 def test_face_budget_enforced():
-    rs, group, p = orbit_hull("B3", (3, 2, 1))
+    # 26 facets and 147 faces: the hull counts facets, the lattice faces
+    points = orbit(generate(build_root_system("B3")), (3, 2, 1))
+    p = poly.hull(points, budget=26)
     with pytest.raises(ValueError):
         poly.face_lattice(p, budget=10)
+    with pytest.raises(ValueError, match="^face budget of 146 exceeded$"):
+        poly.face_lattice(p, budget=146)
+    assert len(poly.face_lattice(p, budget=147)) == 147
 
 
 def test_hull_with_gram_scaled_covectors():
@@ -346,6 +351,7 @@ def test_regular_rank4_hull_certificates(label):
         group.order // parabolic_subgroup(group, simple - {i}).order
         for i in simple
     )
+    assert p.faces == face_lattice_by_intersections(p.vertices, p.facets)
 
 
 def test_hull_face_budget():
