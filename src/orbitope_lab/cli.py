@@ -166,9 +166,7 @@ def cmd_polytope(args) -> tuple[int, dict]:
     x = _resolve_x(args, rs)
     group = weyl.generate(rs)
     dom, hull = _orbit_polytope(rs, group, x, args.face_budget)
-    orbits = poly.faces_up_to_group(
-        hull, poly.vertex_permutations(hull, group), budget=args.face_budget
-    )
+    orbits = poly.faces_up_to_group(hull, poly.vertex_permutations(hull, group))
     # the proper faces, orbit by orbit, then the polytope itself
     by_dim = {hull.dim: 1}
     for face, size in orbits:
@@ -229,14 +227,7 @@ def cmd_verify(args) -> tuple[int, dict]:
         descriptors[args.corrupt_descriptor] = dataclasses.replace(
             target, beta=tuple(-c for c in target.beta)
         )
-    bijection = facelab.verify_bijection(
-        rs,
-        group,
-        dom.vector,
-        orbit_polytope=hull,
-        descriptors=descriptors,
-        face_budget=args.face_budget,
-    )
+    bijection = facelab.verify_bijection(rs, group, hull, descriptors)
     stages = [
         {
             "name": "bijection",
@@ -353,6 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--model",
+            type=str.lower,
             help="matrix model selector: sym<n> or skew<n>",
         )
         p.add_argument("--x", help="comma-separated rational coordinates")

@@ -257,31 +257,20 @@ def descriptor_record(descriptor: FaceDescriptor) -> dict:
 
 
 def verify_bijection(
-    rs: RootSystem,
-    group: weyl.WeylGroup,
-    x,
-    *,
-    orbit_polytope=None,
-    descriptors=None,
-    face_budget: int = poly.DEFAULT_FACE_BUDGET,
+    rs: RootSystem, group: weyl.WeylGroup, orbit_polytope, descriptors
 ) -> BijectionReport:
     """Check the descriptors against the brute-force face lattice.
 
-    Three things must hold: the descriptor count equals the number of
-    group orbits of proper faces, the witness normal of each descriptor
-    exposes exactly the predicted vertex set, and the induced map from
-    descriptors to face orbits hits every orbit exactly once.
-    Counterexamples carry enough data to identify the failing descriptor
-    or the missed orbit.
+    ``orbit_polytope`` is the hull of the orbit of a dominant x and
+    ``descriptors`` are meant to be ``classify_faces`` of that x.  Three
+    things must hold: the descriptor count equals the number of group
+    orbits of proper faces, the witness normal of each descriptor exposes
+    exactly the predicted vertex set, and the induced map from descriptors
+    to face orbits hits every orbit exactly once.  Counterexamples carry
+    enough data to identify the failing descriptor or the missed orbit.
     """
-    dominant = weyl.to_dominant(group, vec(x)).vector
-    if orbit_polytope is None:
-        orbit_polytope = poly.hull(weyl.orbit(group, dominant), budget=face_budget)
-    if descriptors is None:
-        descriptors = classify_faces(rs, group, dominant)
-
     perms = poly.vertex_permutations(orbit_polytope, group)
-    orbits = poly.faces_up_to_group(orbit_polytope, perms, budget=face_budget)
+    orbits = poly.faces_up_to_group(orbit_polytope, perms)
     rep_sizes = {face.vertex_indices: size for face, size in orbits}
 
     counterexamples = []

@@ -182,17 +182,6 @@ def primitive(values) -> tuple[int, ...]:
 
 
 def independent_rows(rows) -> list[int]:
-    """Indices of a maximal linearly independent subset, scanned in order."""
-    picked: list[int] = []
-    state: list[list[Fraction]] = []
-    for idx, row in enumerate(rows):
-        work = [frac(x) for x in row]
-        for srow in state:
-            lead = next((c for c in range(len(srow)) if srow[c] != 0), None)
-            if lead is not None and work[lead] != 0:
-                f = work[lead] / srow[lead]
-                work = [x - f * y for x, y in zip(work, srow)]
-        if any(x != 0 for x in work):
-            state.append(work)
-            picked.append(idx)
-    return picked
+    """Indices of a maximal linearly independent subset, scanned in order:
+    the pivot columns of the rows set side by side as columns."""
+    return rref(transpose(mat(rows)))[1]

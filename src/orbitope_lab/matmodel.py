@@ -150,7 +150,6 @@ def make_model(kind: str, n: int) -> MatrixModel:
     ``skew`` on 2x2 matrices is rejected because so(2) is abelian: the
     conjugation action is trivial and there is no root system.
     """
-    kind = kind.lower()
     n = int(n)
     if kind == "sym":
         if n < 2:

@@ -184,7 +184,8 @@ def _wrap(coords, budget):
     a face give it the same key; the vertices are the faces of dim 0.
 
     Gift-wrapping: from a first facet, pivot across each ridge of each
-    facet found.  Raises ValueError past ``budget`` facets.
+    facet found.  Raises ValueError once more than ``budget`` faces, the
+    hull itself included, have turned up.
     """
     if len(coords[0]) == 1:
         vals = [p[0] for p in coords]
@@ -195,7 +196,7 @@ def _wrap(coords, budget):
     queue = list(found)
     done = set()
     faces = {}
-    for n, b in queue:
+    for wrapped, (n, b) in enumerate(queue, 1):
         below = [(p, b - _dot(n, p)) for p in coords]
         found[n, b] = tuple(i for i, (_, h) in enumerate(below) if not h)
         ridges, facet_faces = _ridges(coords, n, found[n, b], budget)
@@ -208,8 +209,9 @@ def _wrap(coords, budget):
                 if facet not in found:
                     found[facet] = ()
                     queue.append(facet)
-                    if len(found) > budget:
-                        raise ValueError(f"face budget of {budget} exceeded")
+        # the hull, the faces of the facets wrapped, the facets still queued
+        if 1 + len(faces) + len(queue) - wrapped > budget:
+            raise ValueError(f"face budget of {budget} exceeded")
     return [(n, b, tight) for (n, b), tight in found.items()], faces
 
 
@@ -221,7 +223,7 @@ def hull(points, *, budget: int = DEFAULT_FACE_BUDGET) -> RationalPolytope:
     work grows with m times the number of faces, not with the C(m, d)
     point subsets of the affine dimension d.  The faces met on the way
     down are kept as the polytope's ``faces``.  Raises ValueError when more
-    than ``budget`` facets turn up.
+    than ``budget`` faces, the polytope itself included, turn up.
     """
     pts = []
     seen = set()
@@ -241,43 +243,39 @@ def hull(points, *, budget: int = DEFAULT_FACE_BUDGET) -> RationalPolytope:
     basis = tuple(diffs[i] for i in independent_rows(diffs)) if diffs else ()
     d = len(basis)
     if d == 0:
-        return RationalPolytope(
-            ambient_dim=ambient,
-            dim=0,
-            vertices=(p0,),
-            facets=(),
-            origin=p0,
-            basis=(),
-            faces=(PolytopeFace((0,), 0),),
+        vertices, facets, faces = (p0,), [], [PolytopeFace((0,), 0)]
+    else:
+        bbt_inv = inverse(matmul(basis, transpose(basis)))
+        proj = matmul(bbt_inv, basis)
+        reduced = [matvec(proj, vec_sub(p, p0)) for p in pts]
+        scale = math.lcm(*(c.denominator for r in reduced for c in r))
+        coords = [tuple(int(c * scale) for c in r) for r in reduced]
+
+        red_facets, red_faces = _wrap(coords, budget)
+        order = sorted(
+            (on[0] for on, dim in red_faces.items() if not dim), key=pts.__getitem__
         )
+        vertices = tuple(pts[i] for i in order)
+        index = {i: k for k, i in enumerate(order)}
+        faces = [
+            PolytopeFace(tuple(sorted(index[i] for i in on if i in index)), dim)
+            for on, dim in red_faces.items()
+        ]
+        faces.append(PolytopeFace(tuple(range(len(vertices))), d))
+        faces.sort(key=lambda f: (f.dim, f.vertex_indices))
 
-    bbt_inv = inverse(matmul(basis, transpose(basis)))
-    proj = matmul(bbt_inv, basis)
-    reduced = [matvec(proj, vec_sub(p, p0)) for p in pts]
-    scale = math.lcm(*(c.denominator for r in reduced for c in r))
-    coords = [tuple(int(c * scale) for c in r) for r in reduced]
-
-    red_facets, red_faces = _wrap(coords, budget)
-    order = sorted(
-        (on[0] for on, dim in red_faces.items() if not dim), key=pts.__getitem__
-    )
-    vertices = tuple(pts[i] for i in order)
-    index = {i: k for k, i in enumerate(order)}
-    faces = [
-        PolytopeFace(tuple(sorted(index[i] for i in on if i in index)), dim)
-        for on, dim in red_faces.items()
-    ]
-    faces.append(PolytopeFace(tuple(range(len(vertices))), d))
-    faces.sort(key=lambda f: (f.dim, f.vertex_indices))
-
-    lift = transpose(proj)
-    facets = []
-    for n, b, _ in red_facets:
-        nu = matvec(lift, vec(n))
-        offset = Fraction(b, scale) + dot(nu, p0)
-        joint = primitive(tuple(nu) + (offset,))
-        facets.append((vec(joint[:-1]), Fraction(joint[-1])))
-    facets.sort()
+        lift = transpose(proj)
+        facets = []
+        for n, b, _ in red_facets:
+            nu = matvec(lift, vec(n))
+            offset = Fraction(b, scale) + dot(nu, p0)
+            joint = primitive(tuple(nu) + (offset,))
+            facets.append((vec(joint[:-1]), Fraction(joint[-1])))
+        facets.sort()
+    # _wrap stops as soon as its count passes the budget; this count also
+    # covers the point and the segment, which do not wrap
+    if len(faces) > budget:
+        raise ValueError(f"face budget of {budget} exceeded")
 
     return RationalPolytope(
         ambient_dim=ambient,
@@ -315,18 +313,13 @@ def exposed_face(polytope: RationalPolytope, beta) -> PolytopeFace:
     return next(f for f in polytope.faces if f.vertex_indices == ids)
 
 
-def face_lattice(
-    polytope: RationalPolytope, *, budget: int = DEFAULT_FACE_BUDGET
-) -> tuple:
+def face_lattice(polytope: RationalPolytope) -> tuple:
     """All nonempty faces, the whole polytope included, the empty face not,
     sorted by (dim, vertex indices).
 
     :func:`hull` collects them from its recursion into each facet's own
-    hull, so this only checks them against ``budget``: it raises
-    ValueError when there are more than ``budget`` faces.
+    hull, and checks their number against its budget there.
     """
-    if len(polytope.faces) > budget:
-        raise ValueError(f"face budget of {budget} exceeded")
     return polytope.faces
 
 
@@ -358,9 +351,7 @@ def vertex_permutations(polytope: RationalPolytope, group) -> tuple:
     return tuple(perms)
 
 
-def faces_up_to_group(
-    polytope: RationalPolytope, perms, *, budget: int = DEFAULT_FACE_BUDGET
-) -> tuple:
+def faces_up_to_group(polytope: RationalPolytope, perms) -> tuple:
     """Orbit representatives of the proper faces under a group.
 
     ``perms`` is the group's action on the vertex indices, as returned by
@@ -368,7 +359,7 @@ def faces_up_to_group(
     representative being the face whose sorted vertex-index tuple is
     lexicographically least in its orbit, sorted by (dim, indices).
     """
-    faces = face_lattice(polytope, budget=budget)
+    faces = face_lattice(polytope)
     proper = [f for f in faces if len(f.vertex_indices) < len(polytope.vertices)]
     by_ids = {f.vertex_indices: f for f in faces}
     done = set()

@@ -83,9 +83,8 @@ def test_criterion_1_face_orbit_bijection():
     failures = []
     for label, x in cases:
         rs, group = system(label)
-        report = facelab.verify_bijection(
-            rs, group, x, orbit_polytope=hull_for(label, x)
-        )
+        descriptors = facelab.classify_faces(rs, group, x)
+        report = facelab.verify_bijection(rs, group, hull_for(label, x), descriptors)
         if not report.passed:
             failures.append((label, x, report.counterexamples[:1]))
     elapsed = time.monotonic() - start

@@ -93,3 +93,4 @@ def test_traced_verify_calls_each_stage_once():
         assert layers["matmodel.kostant_check.calls"] == kostant
     assert out["b2"]["polytope.hull.calls"] == 1
     assert out["b2"]["polytope.face_lattice.calls"] == 1
+    assert out["b2"]["weyl.to_dominant.calls"] == 1

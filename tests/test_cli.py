@@ -143,6 +143,24 @@ def test_verify_with_model(capsys):
     assert model_stage["report"]["passed"] is True
 
 
+def test_verify_normalizes_x(capsys):
+    # a W-moved x is verified at its dominant representative
+    _, report = run_json(capsys, ["verify", "--system", "a2", "--x", "2,0,-2"])
+    status, moved = run_json(capsys, ["verify", "--system", "a2", "--x", "0,2,-2"])
+    assert status == 0
+    assert moved["x_dominant"] == report["x_dominant"] == ["2", "0", "-2"]
+    assert moved["stages"] == report["stages"]
+    assert moved["stages"][0]["descriptor_count"] == 3
+
+
+def test_model_selector_is_case_insensitive(capsys):
+    argv = ["describe", "--x", "2,0,-2"]
+    _, report = run_json(capsys, argv + ["--model", "sym3"])
+    status, upper = run_json(capsys, argv + ["--model", "SYM3"])
+    assert status == 0
+    assert upper == report
+
+
 def test_verify_corrupt_descriptor_fails(capsys):
     status, report = run_json(
         capsys,
@@ -295,7 +313,7 @@ def test_hull_face_budget_is_a_clean_error(capsys):
 
 
 def test_lattice_face_budget_is_a_clean_error(capsys):
-    # B3 at a regular point: 26 facets pass the hull, 147 faces do not
+    # B3 at a regular point has 26 facets and 147 faces
     err = error_message(
         capsys, ["verify", "--system", "B3", "--x", "3,2,1", "--face-budget", "100"]
     )

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orbitope_lab import facelab
+from orbitope_lab import cli, facelab
 from orbitope_lab import polytope as poly
 from orbitope_lab.rootsys import (
     build_root_system,
@@ -186,6 +186,14 @@ def test_classify_faces_requires_dominant_nonzero():
         facelab.classify_faces(rs, group, (0, 2, -2))
 
 
+def bijection(rs, group, x, descriptors=None):
+    """The bijection check on the orbit polytope of a dominant x."""
+    if descriptors is None:
+        descriptors = facelab.classify_faces(rs, group, x)
+    p = poly.hull(orbit(group, x))
+    return facelab.verify_bijection(rs, group, p, descriptors)
+
+
 def test_verify_bijection_passes():
     cases = (
         ("A1", (1, -1)),
@@ -199,22 +207,15 @@ def test_verify_bijection_passes():
     )
     for label, x in cases:
         rs, group = system(label)
-        report = facelab.verify_bijection(rs, group, x)
+        report = bijection(rs, group, x)
         assert report.passed, (label, x, report.counterexamples)
         assert report.descriptor_count == report.face_orbit_count
         assert all(r["witness_matches"] for r in report.records)
 
 
-def test_verify_bijection_normalizes_x():
-    rs, group = system("A2")
-    report = facelab.verify_bijection(rs, group, (0, 2, -2))
-    assert report.passed
-    assert report.descriptor_count == 3
-
-
 def test_verify_bijection_kernel_point_vacuous():
     rs, group = system("A2")
-    report = facelab.verify_bijection(rs, group, (1, 1, 1))
+    report = bijection(rs, group, (1, 1, 1))
     assert report.passed
     assert report.descriptor_count == 0
     assert report.face_orbit_count == 0
@@ -228,7 +229,7 @@ def test_verify_bijection_detects_corruption():
         descriptors[1], beta=tuple(-c for c in descriptors[1].beta)
     )
     descriptors[1] = bad
-    report = facelab.verify_bijection(rs, group, x, descriptors=descriptors)
+    report = bijection(rs, group, x, descriptors)
     assert not report.passed
     kinds = {c["kind"] for c in report.counterexamples}
     assert "witness-mismatch" in kinds
@@ -238,7 +239,7 @@ def test_verify_bijection_detects_missing_descriptor():
     rs, group = system("A2")
     x = (2, 0, -2)
     descriptors = list(facelab.classify_faces(rs, group, x))[:-1]
-    report = facelab.verify_bijection(rs, group, x, descriptors=descriptors)
+    report = bijection(rs, group, x, descriptors)
     assert not report.passed
     kinds = {c["kind"] for c in report.counterexamples}
     assert "orbit-missed" in kinds
@@ -254,6 +255,13 @@ def test_sigma_vertices_are_parabolic_orbit():
         expected = {apply_word(rs, word, x) for word in sub.words}
         assert set(d.sigma_vertices) == expected
         assert set(d.sigma_vertices) <= set(p.vertices)
+
+
+def cli_verify(label, x):
+    """The report of ``verify --system label --x x``."""
+    argv = ["verify", "--system", label, "--x=" + ",".join(map(str, x))]
+    args = cli.build_parser().parse_args(argv)
+    return args.handler(args)[1]
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -279,11 +287,11 @@ def test_classification_invariant_under_scaling_and_group_moves(
             d, sigma_vertices=()
         )
         assert e.sigma_vertices == tuple(vec_scale(q, p) for p in d.sigma_vertices)
+    # the CLI verifies a W-moved x at its dominant representative
     moved = apply_word(rs, group.words[pick % group.order], x)
-    assert (
-        facelab.verify_bijection(rs, group, moved).records
-        == facelab.verify_bijection(rs, group, x).records
-    )
+    at_x, at_moved = (cli_verify(label, point) for point in (x, moved))
+    assert at_moved["x_dominant"] == at_x["x_dominant"]
+    assert at_moved["stages"] == at_x["stages"]
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

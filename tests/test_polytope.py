@@ -3,11 +3,12 @@
 import importlib.util
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import face_lattice_by_intersections, hull_by_subsets, in_convex_hull
@@ -245,14 +246,12 @@ def test_vertex_permutations_and_bad_group():
 
 
 def test_face_budget_enforced():
-    # 26 facets and 147 faces: the hull counts facets, the lattice faces
+    # regular B3 has 26 facets and 147 faces, the polytope itself included
     points = orbit(generate(build_root_system("B3")), (3, 2, 1))
-    p = poly.hull(points, budget=26)
-    with pytest.raises(ValueError):
-        poly.face_lattice(p, budget=10)
-    with pytest.raises(ValueError, match="^face budget of 146 exceeded$"):
-        poly.face_lattice(p, budget=146)
-    assert len(poly.face_lattice(p, budget=147)) == 147
+    for budget in (10, 26, 146):
+        with pytest.raises(ValueError, match=f"^face budget of {budget} exceeded$"):
+            poly.hull(points, budget=budget)
+    assert len(poly.face_lattice(poly.hull(points, budget=147))) == 147
 
 
 def test_hull_with_gram_scaled_covectors():
@@ -291,21 +290,52 @@ def test_hull_matches_the_subset_oracle_on_benchmark_orbits(workload):
         assert poly.hull(points) == hull_by_subsets(points), (label, coeffs)
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(st.integers(1, 4), st.data())
-def test_hull_matches_the_subset_oracle(d, data):
-    # integer points of a k-dimensional lattice, embedded affinely in Z^d
-    k = data.draw(st.integers(0, d))
+@st.composite
+def point_sets(draw):
+    """Integer points in Z^d, d = 1-4, spanning an affine k-flat, k = 0-d:
+    the corners of a k-simplex and other points of Z^k, mapped into Z^d by
+    an injective integer map and a shift, with some points repeated."""
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(0, d))
     small = st.integers(-3, 3)
-    base = data.draw(st.lists(st.tuples(*[small] * k), min_size=1, max_size=8))
-    embed = data.draw(st.lists(st.tuples(*[small] * k), min_size=d, max_size=d))
-    shift = data.draw(st.tuples(*[small] * d))
+    corners = [tuple(int(i == j) for j in range(k)) for i in range(-1, k)]
+    base = corners + draw(st.lists(st.tuples(*[small] * k), max_size=6))
+    embed = draw(st.lists(st.tuples(*[small] * k), min_size=d, max_size=d))
+    assume(rank(mat(embed)) == k)
+    shift = draw(st.tuples(*[small] * d))
     points = [
         tuple(s + sum(a * b for a, b in zip(row, p)) for row, s in zip(embed, shift))
         for p in base
     ]
-    points += data.draw(st.lists(st.sampled_from(points), max_size=3))
-    assert poly.hull(points) == hull_by_subsets(points)
+    return points + draw(st.lists(st.sampled_from(points), max_size=3))
+
+
+def test_hull_matches_the_subset_oracle():
+    dims = Counter()
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(point_sets())
+    def check(points):
+        p = poly.hull(points)
+        assert p == hull_by_subsets(points)
+        dims[p.dim] += 1
+
+    check()
+    # every affine dimension is reached, full 3- and 4-dimensional sets too
+    assert set(dims) == {0, 1, 2, 3, 4}, dims
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(point_sets(), st.data())
+def test_hull_raises_exactly_past_its_face_budget(points, data):
+    n = len(hull_by_subsets(points).faces)
+    budgets = {0, 1, 2, 3, n // 3, n // 2, n - 1, n, n + 1}
+    budget = data.draw(st.sampled_from(sorted(budgets)))
+    if n > budget:
+        with pytest.raises(ValueError, match=f"^face budget of {budget} exceeded$"):
+            poly.hull(points, budget=budget)
+    else:
+        assert len(poly.hull(points, budget=budget).faces) == n
 
 
 def regular_orbit_hull(label):
@@ -355,7 +385,11 @@ def test_regular_rank4_hull_certificates(label):
 
 
 def test_hull_face_budget():
-    points = orbit(generate(build_root_system("B3")), (3, 2, 1))
-    with pytest.raises(ValueError, match="^face budget of 20 exceeded$"):
-        poly.hull(points, budget=20)
-    assert len(poly.hull(points, budget=26).facets) == 26
+    # a segment has three faces, its two ends and itself; a point has one
+    segment = [(1, -1), (-1, 1)]
+    with pytest.raises(ValueError, match="^face budget of 2 exceeded$"):
+        poly.hull(segment, budget=2)
+    assert len(poly.hull(segment, budget=3).faces) == 3
+    with pytest.raises(ValueError, match="^face budget of 0 exceeded$"):
+        poly.hull([(1, 2)], budget=0)
+    assert len(poly.hull([(1, 2)], budget=1).faces) == 1
