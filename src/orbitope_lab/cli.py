@@ -239,15 +239,20 @@ def cmd_verify(args) -> tuple[int, dict]:
         }
     ]
     if model is not None:
-        numeric = matmodel.verification_report(
-            model,
-            dom.vector,
-            args.n_samples,
-            args.seed,
-            group=group,
-            orbit_polytope=hull,
-            descriptors=descriptors,
-        )
+        try:
+            numeric = matmodel.verification_report(
+                model,
+                dom.vector,
+                args.n_samples,
+                args.seed,
+                group=group,
+                orbit_polytope=hull,
+                descriptors=descriptors,
+            )
+        except OverflowError:
+            raise CliError(
+                f"--x {args.x} is out of the float range of the matrix model"
+            ) from None
         stages.append({"name": "model", "passed": numeric["passed"], "report": numeric})
     passed = all(stage["passed"] for stage in stages)
     first = None

@@ -16,10 +16,11 @@ group SO(n) acting by conjugation:
 The exact side of every computation (root systems, Weyl orbits, polytopes,
 face descriptors) lives in the other modules.  This module turns Cartan
 coordinate vectors into matrices, samples group orbits Haar-uniformly,
-and compares numeric measurements against the exact predictions.  All
-floating point in the package is confined here; tolerances come in three
-tiers scaled by the data: 1e-9 for invariants, 1e-6 for matching, 1e-8
-for rank cutoffs.
+and compares numeric measurements against the exact predictions; its
+finite differences go through ``expm``, a stacked Taylor exponential in
+numpy.  All floating point in the package is confined here; tolerances
+come in three tiers scaled by the data: 1e-9 for invariants, 1e-6 for
+matching, 1e-8 for rank cutoffs.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import polytope as poly
 from .facelab import FaceDescriptor
@@ -514,6 +514,26 @@ def _face_distance_factor(rs: RootSystem, vertices, beta_cartan) -> float:
     gaps = points[~on_face, None, :] - points[None, on_face, :]
     nearest = np.min(np.linalg.norm(gaps, axis=-1), axis=1)
     return float(np.max(nearest / deficits))
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of every n x n slice of the stack ``a``.
+
+    Degree-8 Taylor polynomial by Horner, after scaling each slice by its
+    own power of two to 1-norm below 1/16 (the first dropped term, 2^-36 /
+    9!, is below 2^-53), then squaring back; no slice depends on another.
+    """
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)
+    squarings = np.maximum(np.frexp(norms)[1] + 4, 0)
+    a = np.ldexp(a, -squarings[..., None, None])
+    eye = np.eye(a.shape[-1])
+    e = eye + a / 8
+    for k in range(7, 0, -1):
+        e = eye + a @ e / k
+    for j in range(int(squarings.max(initial=0))):
+        more = squarings > j
+        e[more] = e[more] @ e[more]
+    return e
 
 
 def _height_curve_second_derivatives(

@@ -338,6 +338,15 @@ def test_nonpositive_counts_are_clean_errors(capsys, flag, value):
     assert err == f"error: {flag} must be a positive integer, got {value}\n"
 
 
+@pytest.mark.parametrize(
+    "model, x",
+    [("sym2", "1e400,-1e400"), ("sym3", "1e200,0,-1e200"), ("skew5", "1e400,-1e400")],
+)
+def test_model_x_out_of_float_range_is_a_clean_error(capsys, model, x):
+    err = error_message(capsys, ["verify", "--model", model, "--x", x])
+    assert err == f"error: --x {x} is out of the float range of the matrix model\n"
+
+
 @pytest.mark.parametrize("label", ["a4", "d4"])
 def test_verify_at_a_regular_rank4_point(capsys, label):
     status, report = run_json(

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import expm as scipy_expm
 
 from oracles import majorized_by
 from orbitope_lab import facelab, jsonio, matmodel
@@ -264,6 +265,43 @@ def test_sample_orbit_chunked_run_is_a_prefix():
     long = matmodel.sample_orbit(model, x, 2 * matmodel._CHUNK + 1, seed=2)
     assert np.array_equal(short.points, long.points[: matmodel._CHUNK + 3])
     assert np.array_equal(short.projections, long.projections[: matmodel._CHUNK + 3])
+
+
+def test_expm_matches_scipy_on_stacks():
+    """The stacked Taylor exponential against scipy, slice by slice.
+
+    1-norms run from 1e-8 to 100, so the squaring path is covered.  At the
+    finite-difference scale (1-norm at most 1e-3) the two agree to 1e-15
+    absolute (1.1e-16 measured); above it the error relative to the largest
+    entry stays below 5e-12 (5.6e-13 measured, a general 2 x 2 at norm 100).
+    """
+    rng = np.random.default_rng(5)
+    norms = np.geomspace(1e-8, 100.0, 41)
+    for n in range(1, 9):
+        for antisymmetric in (True, False):
+            a = rng.standard_normal((len(norms), n, n))
+            if antisymmetric:
+                a = a - np.swapaxes(a, -1, -2)
+            ones = np.abs(a).sum(axis=-2).max(axis=-1)
+            a *= (norms / np.where(ones > 0, ones, 1.0))[:, None, None]
+            ours = matmodel.expm(a)
+            for norm, mine, block in zip(norms, ours, a, strict=True):
+                ref = scipy_expm(block)
+                err = np.max(np.abs(mine - ref))
+                if norm <= 1e-3:
+                    assert err <= 1e-15, (n, antisymmetric, norm, err)
+                else:
+                    assert err <= 5e-12 * np.max(np.abs(ref)), (n, norm, err)
+    assert matmodel.expm(np.empty((0, 3, 3))).shape == (0, 3, 3)
+
+
+def test_expm_slices_are_independent():
+    rng = np.random.default_rng(6)
+    scales = np.array([0.0, 1e-6, 1e-4, 0.05, 0.5, 3.0, 40.0, 1e-2])
+    stack = rng.standard_normal((len(scales), 5, 5)) * scales[:, None, None]
+    whole = matmodel.expm(stack)
+    for i in range(len(stack)):
+        assert np.array_equal(whole[i], matmodel.expm(stack[i : i + 1])[0]), i
 
 
 def counting_expm(monkeypatch):
