@@ -166,19 +166,22 @@ def det(a: Mat) -> Fraction:
     return result * sign
 
 
+def cleared(values) -> tuple[int, tuple[int, ...]]:
+    """(d, d * v): the least positive integer d making d * v integral."""
+    fr = vec(values)
+    d = lcm(*(x.denominator for x in fr))
+    return d, tuple(x.numerator * (d // x.denominator) for x in fr)
+
+
 def primitive(values) -> tuple[int, ...]:
     """Scale a rational vector by a positive rational to coprime integers.
 
     The direction (overall sign) is preserved; the zero vector maps to
     integer zeros.
     """
-    fr = [frac(x) for x in values]
-    if all(x == 0 for x in fr):
-        return tuple(0 for _ in fr)
-    denom_lcm = lcm(*(x.denominator for x in fr))
-    ints = [int(x * denom_lcm) for x in fr]
+    ints = cleared(values)[1]
     g = gcd(*ints)
-    return tuple(x // g for x in ints)
+    return ints if g == 0 else tuple(x // g for x in ints)
 
 
 def independent_rows(rows) -> list[int]:

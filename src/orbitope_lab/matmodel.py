@@ -164,17 +164,22 @@ def make_model(kind: str, n: int) -> MatrixModel:
     raise ValueError(f"unknown model kind {kind!r}; expected 'sym' or 'skew'")
 
 
+def _cartan_vector(model: MatrixModel, v) -> Vec:
+    """v as an exact Cartan coordinate vector of the model, or ValueError."""
+    x = vec(v)
+    if len(x) != model.root_system.ambient_dim:
+        raise ValueError("Cartan vector has the wrong dimension")
+    if model.kind == "sym" and sum(x) != 0:
+        raise ValueError("symmetric-model Cartan vectors must sum to zero")
+    return x
+
+
 def embed_exact(model: MatrixModel, v) -> Mat:
     """Exact matrix of a Cartan coordinate vector."""
-    x = vec(v)
-    rs = model.root_system
-    if len(x) != rs.ambient_dim:
-        raise ValueError("Cartan vector has the wrong dimension")
+    x = _cartan_vector(model, v)
     n = model.n
     zero = frac(0)
     if model.kind == "sym":
-        if sum(x) != 0:
-            raise ValueError("symmetric-model Cartan vectors must sum to zero")
         return tuple(
             tuple(x[i] if i == j else zero for j in range(n)) for i in range(n)
         )
@@ -186,8 +191,17 @@ def embed_exact(model: MatrixModel, v) -> Mat:
 
 
 def embed(model: MatrixModel, v) -> np.ndarray:
-    """Float matrix of a Cartan coordinate vector."""
-    return np.array([[float(c) for c in row] for row in embed_exact(model, v)])
+    """Float matrix of a Cartan coordinate vector: ``embed_exact`` with each
+    entry rounded to the nearest float, filled in directly."""
+    x = _cartan_vector(model, v)
+    out = np.zeros((model.n, model.n))
+    if model.kind == "sym":
+        np.fill_diagonal(out, [float(c) for c in x])
+        return out
+    for i, theta in enumerate(x):
+        out[2 * i, 2 * i + 1] = float(theta)
+        out[2 * i + 1, 2 * i] = float(-theta)
+    return out
 
 
 def project(model: MatrixModel, y: np.ndarray) -> np.ndarray:
@@ -542,22 +556,25 @@ def _height_curve_second_derivatives(
     """Centered finite differences of t -> <Ad(exp t xi) x, beta> at 0.
 
     One value per direction in the stack ``xis``, from one stacked matrix
-    exponential.  The directions are antisymmetric, so exp(-h xi) is the
+    exponential; ``base`` and ``beta_mat`` are one matrix each or one per
+    direction.  The directions are antisymmetric, so exp(-h xi) is the
     transpose of exp(h xi) and serves the other side.
     """
-    k = len(xis)
+    k, n = len(xis), base.shape[-1]
     g = expm(h * xis)
     gt = np.swapaxes(g, -1, -2)
-    f_plus = np.sum((g @ base @ gt * beta_mat).reshape(k, base.size), axis=1)
-    f_minus = np.sum((gt @ base @ g * beta_mat).reshape(k, base.size), axis=1)
-    f_zero = float(np.sum(base * beta_mat))
+    f_plus = np.sum((g @ base @ gt * beta_mat).reshape(k, n * n), axis=1)
+    f_minus = np.sum((gt @ base @ g * beta_mat).reshape(k, n * n), axis=1)
+    f_zero = np.sum((base * beta_mat).reshape(-1, n * n), axis=1)
     return (f_plus - 2.0 * f_zero + f_minus) / (h * h)
 
 
-def _closed_form_at(model: MatrixModel, x_cartan, beta_cartan):
-    """The closed-form Hessian at (x, beta) as a function of xi.
+def _closed_forms(model: MatrixModel, x_cartan, beta_cartan, xis) -> np.ndarray:
+    """The closed-form Hessian at (x, beta) along each direction of ``xis``.
 
-    The root pairings lambda(x) and lambda(beta) are computed once, here.
+    All directions go through one ``coords @ from_coords.T`` product to
+    their root-space weights and, per root block with lambda(x) != 0, one
+    stacked product and one row-wise sum.
     """
     rs = model.root_system
     x = vec(x_cartan)
@@ -566,23 +583,19 @@ def _closed_form_at(model: MatrixModel, x_cartan, beta_cartan):
         raise ValueError("x is not dominant; apply weyl.to_dominant first")
     spaces = _root_spaces(model)
     base = embed(model, x)
-    terms = [
-        (block, float(dot(lam, beta)), float(lam_x))
-        for lam, block in zip(rs.covectors, spaces.block_slices, strict=True)
-        if (lam_x := dot(lam, x)) != 0
-    ]
-
-    def closed_form(xi: np.ndarray) -> float:
-        coords = np.array([xi[i, j] for (i, j) in spaces.pairs])
-        weights = spaces.from_coords @ coords
-        total = 0.0
-        for block, lam_beta, lam_x in terms:
-            xi_lam = np.tensordot(weights[block], spaces.basis_mats[block], axes=1)
-            z = base @ xi_lam - xi_lam @ base
-            total -= lam_beta * float(np.sum(z * z)) / lam_x
-        return total
-
-    return closed_form
+    k, n = len(xis), model.n
+    rows, cols = zip(*spaces.pairs)
+    weights = xis[:, rows, cols] @ spaces.from_coords.T
+    total = np.zeros(k)
+    for lam, block in zip(rs.covectors, spaces.block_slices, strict=True):
+        lam_x = dot(lam, x)
+        if lam_x == 0:
+            continue
+        xi_lam = np.tensordot(weights[:, block], spaces.basis_mats[block], axes=1)
+        z = base @ xi_lam - xi_lam @ base
+        squares = np.sum((z * z).reshape(k, n * n), axis=1)
+        total -= float(dot(lam, beta)) * squares / float(lam_x)
+    return total
 
 
 def hessian_closed_form(model: MatrixModel, x_cartan, beta_cartan, xi: np.ndarray):
@@ -593,7 +606,7 @@ def hessian_closed_form(model: MatrixModel, x_cartan, beta_cartan, xi: np.ndarra
     lambda(beta) |[x, xi_lambda]|^2 / lambda(x).  Requires dominant x so
     every lambda(x) is nonnegative.
     """
-    return _closed_form_at(model, x_cartan, beta_cartan)(xi)
+    return float(_closed_forms(model, x_cartan, beta_cartan, xi[None])[0])
 
 
 def hessian_fd(
@@ -605,74 +618,113 @@ def hessian_fd(
     return float(_height_curve_second_derivatives(base, beta_mat, xi[None], h)[0])
 
 
-def _random_directions(spaces: _RootSpaces, rng, blocks) -> np.ndarray:
-    """Unit random directions in so(n), one per entry of ``blocks``.
+def _direction_layout(spaces: _RootSpaces, blocks) -> tuple:
+    """Where one flat Gaussian draw lands in the weights of the directions.
 
-    Direction t has Gaussian weights from ``rng`` on the basis of root-space
-    block ``blocks[t]`` (an index into ``spaces.block_slices``) or, for
-    None, of the whole algebra.  The weights of one block are one draw,
-    taken in order of the block's first appearance, and go through one
-    tensordot.  Directions of norm below 1e-12 are dropped.
+    Direction t gets weights on the basis of root-space block ``blocks[t]``
+    (an index into ``spaces.block_slices``) or, for None, of the whole
+    algebra.  The draw fills one block after another, in order of first
+    appearance, each block's directions in order, each direction's weights
+    in basis order.  Returns (rows, cols, n_directions): the weight-matrix
+    position of every drawn value.
     """
-    basis = spaces.basis_mats
-    xis = np.empty((len(blocks),) + basis.shape[1:])
     members = {}
     for t, block in enumerate(blocks):
         members.setdefault(block, []).append(t)
+    rows, cols = [np.zeros(0, int)], [np.zeros(0, int)]
     for block, ts in members.items():
-        mats = basis if block is None else basis[spaces.block_slices[block]]
-        weights = rng.standard_normal((len(ts), len(mats)))
-        xis[ts] = np.tensordot(weights, mats, axes=1)
-    norms = np.linalg.norm(xis.reshape(len(blocks), -1), axis=1)
+        span = np.arange(len(spaces.basis_mats))
+        if block is not None:
+            span = span[spaces.block_slices[block]]
+        rows.append(np.repeat(ts, len(span)))
+        cols.append(np.tile(span, len(ts)))
+    return np.concatenate(rows), np.concatenate(cols), len(blocks)
+
+
+def _direction_weights(spaces: _RootSpaces, keys, layout) -> np.ndarray:
+    """Basis weights of ``layout``'s directions for each stream in ``keys``.
+
+    ``keys`` lists (seed, stage) stream keys.  Each stream's weights are one
+    draw, placed by ``_direction_layout`` in the stream's own rows.
+    """
+    rows, cols, count = layout
+    weights = np.zeros((len(keys) * count, len(spaces.basis_mats)))
+    for j, key in enumerate(keys):
+        weights[j * count + rows, cols] = _stream(*key).standard_normal(len(rows))
+    return weights
+
+
+def _unit_directions(spaces: _RootSpaces, weights: np.ndarray) -> tuple:
+    """(xis, keep): the directions of ``weights`` in so(n), from one product
+    with the flattened basis, normalized, and the mask of those kept;
+    directions of norm below 1e-12 are dropped."""
+    basis = spaces.basis_mats
+    xis = (weights @ basis.reshape(len(basis), -1)).reshape(
+        (len(weights),) + basis.shape[1:]
+    )
+    norms = np.linalg.norm(xis.reshape(len(weights), -1), axis=1)
     keep = norms >= 1e-12
-    return xis[keep] / norms[keep, None, None]
+    return xis[keep] / norms[keep, None, None], keep
 
 
-def local_max_test(
-    model: MatrixModel,
-    x_cartan,
-    beta_cartan,
-    *,
-    n_directions: int = 100,
-    seed: int = 0,
-) -> dict:
-    """Chamber predicate versus the numeric local-maximum verdict.
+def local_max_test(model: MatrixModel, pairs, *, n_directions: int = 100) -> list:
+    """Chamber predicate versus the numeric local-maximum verdict, per pair.
 
-    The exact verdict is share_closed_chamber(x, beta).  The numeric one
-    runs centered finite differences of the height curve along random
+    ``pairs`` lists (x, beta, seed).  The exact verdict of a pair is
+    share_closed_chamber(x, beta).  The numeric one runs centered finite
+    differences of the height curve along ``n_directions`` random
     antisymmetric directions and requires every second derivative to stay
-    below 1e-6 * |x| * |beta|.  Directions are drawn per root-space block
-    first (two sweeps), then across the whole Lie algebra: when a
+    below 1e-6 * max(1, |x| * |beta|).  Directions are drawn per root-space
+    block first (two sweeps), then across the whole Lie algebra: when a
     chamber-separating root exists, directions concentrated in its block
-    see the positive curvature directly, making the verdict robust.  All
-    direction weights come from the stream (seed, _LOCAL_MAX).  Returns a
-    record with both verdicts and their agreement.
+    see the positive curvature directly, making the verdict robust.  A
+    pair's direction weights come from its own stream (seed, _LOCAL_MAX),
+    and every finite difference depends on its own direction only, so a
+    pair's record does not depend on the other pairs.  The pairs go
+    through the finite differences together, as many whole pairs per
+    stack as fit in _CHUNK directions (one pair when it alone has more),
+    which bounds the scratch memory.  Returns one record per pair with
+    both verdicts and their agreement.
     """
     rs = model.root_system
-    x = vec(x_cartan)
-    beta = vec(beta_cartan)
-    chamber = share_closed_chamber(rs, x, beta)
     spaces = _root_spaces(model)
-    base = embed(model, x)
-    beta_mat = embed(model, beta)
-    x_norm = math.sqrt(sum(float(c) ** 2 for c in x))
-    b_norm = math.sqrt(sum(float(c) ** 2 for c in beta))
-    threshold = MATCH_TOL * max(1.0, x_norm * b_norm)
+    pairs = [(vec(x), vec(beta), seed) for x, beta, seed in pairs]
+    bases = np.array([embed(model, x) for x, _, _ in pairs])
+    beta_mats = np.array([embed(model, beta) for _, beta, _ in pairs])
     n_blocks = len(spaces.block_slices)
     blocks = [
         t % n_blocks if t < 2 * n_blocks else None for t in range(n_directions)
     ]
-    xis = _random_directions(spaces, _stream(seed, _LOCAL_MAX), blocks)
-    seconds = _height_curve_second_derivatives(base, beta_mat, xis, 1e-4)
-    worst = max([-math.inf, *seconds.tolist()])
-    numeric = worst <= threshold
-    return {
-        "chamber": chamber,
-        "numeric": numeric,
-        "max_second_derivative": worst,
-        "threshold": threshold,
-        "agree": chamber == numeric,
-    }
+    layout = _direction_layout(spaces, blocks)
+    per_stack = max(1, _CHUNK // max(1, n_directions))
+    # fmax, unlike maximum, skips NaN; of equal values it keeps the first
+    worst = np.full(len(pairs), -math.inf)
+    for first in range(0, len(pairs), per_stack):
+        keys = [(seed, _LOCAL_MAX) for _, _, seed in pairs[first : first + per_stack]]
+        weights = _direction_weights(spaces, keys, layout)
+        xis, keep = _unit_directions(spaces, weights)
+        owners = np.repeat(np.arange(first, first + len(keys)), layout[2])[keep]
+        seconds = _height_curve_second_derivatives(
+            bases[owners], beta_mats[owners], xis, 1e-4
+        )
+        np.fmax.at(worst, owners, seconds)
+    records = []
+    for (x, beta, _), top in zip(pairs, worst.tolist()):
+        chamber = share_closed_chamber(rs, x, beta)
+        x_norm = math.sqrt(sum(float(c) ** 2 for c in x))
+        b_norm = math.sqrt(sum(float(c) ** 2 for c in beta))
+        threshold = MATCH_TOL * max(1.0, x_norm * b_norm)
+        numeric = top <= threshold
+        records.append(
+            {
+                "chamber": chamber,
+                "numeric": numeric,
+                "max_second_derivative": top,
+                "threshold": threshold,
+                "agree": chamber == numeric,
+            }
+        )
+    return records
 
 
 def hessian_check(
@@ -689,17 +741,19 @@ def hessian_check(
     Directions are unit Frobenius norm, drawn from the stream
     (seed, _HESSIAN), so the expected discrepancy is the finite-difference
     truncation error, a few orders below the matching tolerance of
-    1e-5 * |x| * |beta| used by the callers.
+    1e-5 * |x| * |beta| used by the callers.  Both sides are evaluated for
+    all trials at once.
     """
-    closed_form = _closed_form_at(model, x_cartan, beta_cartan)
     spaces = _root_spaces(model)
+    layout = _direction_layout(spaces, [None] * trials)
+    weights = _direction_weights(spaces, [(seed, _HESSIAN)], layout)
+    xis, _ = _unit_directions(spaces, weights)
+    closed = _closed_forms(model, x_cartan, beta_cartan, xis)
     base = embed(model, x_cartan)
     beta_mat = embed(model, beta_cartan)
-    xis = _random_directions(spaces, _stream(seed, _HESSIAN), [None] * trials)
     numeric = _height_curve_second_derivatives(base, beta_mat, xis, h)
-    worst = 0.0
-    for xi, fd in zip(xis, numeric.tolist()):
-        worst = max(worst, abs(closed_form(xi) - fd))
+    # fmax, unlike maximum, skips NaN
+    worst = float(np.fmax.reduce(np.abs(closed - numeric), initial=0.0))
     return {"max_abs_error": worst, "trials": trials}
 
 
@@ -762,6 +816,19 @@ def _random_cartan_vector(rng, model: MatrixModel) -> Vec:
     return vec(raw)
 
 
+def _finite(value) -> bool:
+    """Whether every float in a nested report value is finite."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        return all(_finite(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return all(_finite(v) for v in value)
+    return True
+
+
+# Out-of-range results are rejected as a whole at the end, not warned about.
+@np.errstate(all="ignore")
 def verification_report(
     model: MatrixModel,
     x_cartan,
@@ -793,18 +860,23 @@ def verification_report(
        margin, distance over tolerance.  The numeric extreme-orbit
        dimension equals the predicted one;
     4. chamber predicate versus finite-difference verdict on random
-       dominant/arbitrary integer pairs (the stream (seed, _PAIRS)), pair
-       k tested with ``local_max_test(seed=k)``, gated at full agreement;
+       dominant/arbitrary integer pairs (the stream (seed, _PAIRS)), all
+       pairs in one stacked ``local_max_test`` call with pair k drawing
+       its directions from seed k, gated at full agreement;
     5. closed-form Hessian versus finite differences for each
        descriptor's witness and for beta = x, check i with
        ``hessian_check(seed=i)``, gated at 1e-5 * |x| * |beta|.
 
     Every stage records a ``passed`` flag; the report passes when all do.
     The report is fully determined by (model, x, n_samples, seed) and the
-    stage sizes, so it is reproducible byte for byte.
+    stage sizes, so it is reproducible byte for byte.  OverflowError when
+    x leaves the float range: a nonzero x whose float norm underflows to
+    zero, or one that makes a reported value infinite or NaN.
     """
     x = vec(x_cartan)
     x_norm = math.sqrt(sum(float(c) ** 2 for c in x))
+    if x_norm == 0 and any(x):
+        raise OverflowError("the float norm of a nonzero x underflows to zero")
     sample = sample_orbit(
         model, x, n_samples, seed, forced_cartan_points=orbit_polytope.vertices
     )
@@ -875,14 +947,14 @@ def verification_report(
     )
 
     rng = _stream(seed, _PAIRS)
-    agreements = 0
-    disagreements = []
+    pairs = []
     for k in range(n_pairs):
         xd = _dominant_integer_vector(rng, model, group)
-        beta = _random_cartan_vector(rng, model)
-        rec = local_max_test(
-            model, xd, beta, n_directions=n_directions, seed=k
-        )
+        pairs.append((xd, _random_cartan_vector(rng, model), k))
+    agreements = 0
+    disagreements = []
+    records = local_max_test(model, pairs, n_directions=n_directions)
+    for (xd, beta, _), rec in zip(pairs, records):
         if rec["agree"]:
             agreements += 1
         else:
@@ -925,6 +997,8 @@ def verification_report(
         {"name": "hessian", "passed": hessian_passed, "checks": hessian_records}
     )
 
+    if not _finite(stages):
+        raise OverflowError("a stage value of x leaves the float range")
     overall = all(stage["passed"] for stage in stages)
     failed = [stage["name"] for stage in stages if not stage["passed"]]
     return {

@@ -8,10 +8,12 @@ vector as ``lambda(v) = <lambda, v>_G``.
 
 Each root system computes its pairing data once, on first use, and every
 other module reads it from there: ``roots``, the covector ``G lambda`` of
-each positive root (so ``lambda(v)`` is one plain dot product),
-``simple_positions``, the simple-root Gram matrix and its inverse.  This
-module is the only one that multiplies by the Gram matrix; ``pairing`` and
-``metric_covector`` do it for vectors that are not roots.
+each positive root (so ``lambda(v)`` is one plain dot product), their
+common integer multiple ``integer_covectors`` for sign tests,
+``simple_positions``, the simple-root Gram matrix, its inverse and the
+Cartan matrix.  This module is the only one that multiplies by the Gram
+matrix; ``pairing`` and ``metric_covector`` do it for vectors that are not
+roots.
 
 Built-in catalog (all with the plain dot product, multiplicity 1):
 
@@ -29,6 +31,7 @@ bookkeeping downstream) can be supplied through the text format, see
 from __future__ import annotations
 
 import functools
+import operator
 import os
 import re
 from dataclasses import dataclass
@@ -37,6 +40,7 @@ from fractions import Fraction
 from .linalg import (
     Mat,
     Vec,
+    cleared,
     det,
     dot,
     frac,
@@ -55,6 +59,11 @@ from .linalg import (
 )
 
 _LABEL_RE = re.compile(r"^(BC|A|B|C|D)([1-9][0-9]*)$")
+# Validation and the pairing tables grow with the square of the root count.
+# Every catalog system whose Weyl group fits under weyl.DEFAULT_ORDER_CAP
+# has at most 42 positive roots (BC6), so larger systems are refused
+# before any of that work.
+MAX_POSITIVE_ROOTS = 64
 
 
 @dataclass(frozen=True)
@@ -93,6 +102,19 @@ class RootSystem:
         return tuple(matvec(self.inner_product, r) for r in self.positive_roots)
 
     @functools.cached_property
+    def covector_scale(self) -> int:
+        """The least positive integer making every covector integral."""
+        return cleared(c for cov in self.covectors for c in cov)[0]
+
+    @functools.cached_property
+    def integer_covectors(self) -> tuple:
+        """``covector_scale`` times each covector, as integers: a positive
+        multiple of every pairing, so its sign and the walk of
+        ``weyl.to_dominant`` are exact in integers."""
+        m = self.covector_scale
+        return tuple(tuple(int(m * c) for c in cov) for cov in self.covectors)
+
+    @functools.cached_property
     def simple_positions(self) -> tuple:
         """Index of each simple root in ``positive_roots`` (and in ``roots``)."""
         return tuple(self.positive_roots.index(a) for a in self.simple_roots)
@@ -112,6 +134,18 @@ class RootSystem:
     @functools.cached_property
     def simple_gram_inverse(self) -> Mat:
         return inverse(self.simple_gram)
+
+    @functools.cached_property
+    def cartan_matrix(self) -> tuple:
+        """Row i holds the integers <alpha_j, alpha_i^v> = 2 <alpha_i, alpha_j>_G /
+        <alpha_i, alpha_i>_G, so s_i(alpha_j) = alpha_j - cartan_matrix[i][j] alpha_i;
+        ValueError if one is not an integer, since s_i then leaves the roots."""
+        rows = tuple(
+            tuple(2 * g / row[i] for g in row) for i, row in enumerate(self.simple_gram)
+        )
+        if any(a.denominator != 1 for row in rows for a in row):
+            raise ValueError("the roots are not closed under the simple reflections")
+        return tuple(tuple(int(a) for a in row) for row in rows)
 
     @functools.cached_property
     def positive_coefficients(self) -> tuple:
@@ -144,10 +178,8 @@ class RootSystem:
         n_pos = len(coeffs)
         negated = tuple(tuple(-t for t in c) for c in coeffs)
         where = {c: k for k, c in enumerate(coeffs + negated)}
-        gram = self.simple_gram
         perms = []
-        for i in range(self.rank):
-            cartan = [2 * row[i] / gram[i][i] for row in gram]  # <alpha_j, alpha_i^v>
+        for i, cartan in enumerate(self.cartan_matrix):
             images = [
                 where.get(c[:i] + (c[i] - dot(c, cartan),) + c[i + 1:]) for c in coeffs
             ]
@@ -188,10 +220,19 @@ def share_closed_chamber(rs: RootSystem, x, y) -> bool:
 
     Products over positive roots suffice since negation flips both factors.
     This is the exact combinatorial test for x and y lying in a common
-    closed Weyl chamber.
+    closed Weyl chamber.  Clearing the denominators of x and y and pairing
+    with ``integer_covectors`` scales each factor by a positive integer,
+    which keeps its sign, so the test runs in integers.
     """
-    xv, yv = vec(x), vec(y)
-    return all(dot(c, xv) * dot(c, yv) >= 0 for c in rs.covectors)
+    xs, ys = cleared(x)[1], cleared(y)[1]
+    if len(xs) != rs.ambient_dim or len(ys) != rs.ambient_dim:
+        raise ValueError(
+            f"dimension mismatch: expected vectors of length {rs.ambient_dim}"
+        )
+    return all(
+        sum(map(operator.mul, c, xs)) * sum(map(operator.mul, c, ys)) >= 0
+        for c in rs.integer_covectors
+    )
 
 
 def is_dominant(rs: RootSystem, x) -> bool:
@@ -326,8 +367,9 @@ def make_root_system(
     ``multiplicities`` may be None (all 1) or a sequence aligned with
     ``positive_roots``.
     """
-    simples = tuple(vec(r) for r in simple_roots)
     positives = tuple(vec(r) for r in positive_roots)
+    _check_root_count(label, len(positives))
+    simples = tuple(vec(r) for r in simple_roots)
     d = len(simples[0]) if simples else 0
     if multiplicities is None:
         mults = tuple(1 for _ in positives)
@@ -345,6 +387,14 @@ def make_root_system(
             centralizer_dim=centralizer_dim,
         )
     )
+
+
+def _check_root_count(label: str, count: int) -> None:
+    if count > MAX_POSITIVE_ROOTS:
+        raise ValueError(
+            f"root system {label} has {count} positive roots, past the cap "
+            f"of {MAX_POSITIVE_ROOTS}"
+        )
 
 
 def _e(i: int, n: int) -> Vec:
@@ -392,6 +442,11 @@ def _catalog(label: str) -> RootSystem:
         raise ValueError(f"malformed root system label {label!r}")
     family, n_str = m.group(1), m.group(2)
     n = int(n_str)
+    counts = {
+        "A": n * (n + 1) // 2, "B": n * n, "C": n * n, "D": n * (n - 1),
+        "BC": n * (n + 1),
+    }
+    _check_root_count(label, counts[family])
     if family == "A":
         amb = n + 1
         simples = tuple(vec_sub_pair(_e(i, amb), _e(i + 1, amb), -1) for i in range(n))

@@ -14,11 +14,12 @@ orbits are listed in first-discovery order.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .linalg import Mat, Vec, dot, matvec, vec
+from .linalg import Mat, Vec, cleared, dot, matvec, vec
 from .rootsys import RootSystem, reflect
 
 DEFAULT_ORDER_CAP = 51840
@@ -158,25 +159,45 @@ def to_dominant(group: WeylGroup, x) -> DominantResult:
     whose simple pairings are all nonnegative.  w is the shortest such
     element (it is unique) and word its shortlex-least reduced word, i.e.
     the BFS-first witness.  Reflecting x in simple roots that pair
-    negatively with it reaches x_plus along w; the word is then read
-    greedily from the left, each letter the least i with w^-1(alpha_i)
-    negative, where ``inv[k]`` indexes w^-1(root_k).
+    negatively with it reaches x_plus along w.  The walk runs on the simple
+    pairings p_j = <alpha_j, y>_G alone, kept as integers (x with its
+    denominators cleared, against ``rs.integer_covectors``): reflecting in
+    alpha_i sends p_j to p_j - p_i * cartan[i][j] and moves y by
+    -p_i alpha_i^v, so the moves are summed per simple root and x_plus is
+    assembled once at the end.  The word is then read greedily from the
+    left, each letter the least i with w^-1(alpha_i) negative, where
+    ``inv[k]`` indexes w^-1(root_k).
     """
     rs = group.root_system
-    y = vec(x)
-    covectors = rs.simple_covectors
+    xv = vec(x)
+    if len(xv) != rs.ambient_dim:
+        raise ValueError(
+            f"dimension mismatch: expected vectors of length {rs.ambient_dim}"
+        )
+    den, xs = cleared(xv)
+    covectors = rs.integer_covectors
+    p = [sum(map(operator.mul, covectors[k], xs)) for k in rs.simple_positions]
+    cartan = rs.cartan_matrix
     # BFS lists the generators right after the identity, in index order.
     gens = dict(zip(group.generator_indices, group.perms[1:]))
     inv = group.perms[0]
-    while negative := [i for i in gens if dot(covectors[i], y) < 0]:
-        i = negative[0]
-        y = reflect(rs, i, y)
+    moves = [0] * rs.rank
+    while (i := next((i for i in gens if p[i] < 0), None)) is not None:
+        pi = p[i]
+        moves[i] += pi
+        p = [pj - pi * a for pj, a in zip(p, cartan[i])]
         inv = tuple([inv[j] for j in gens[i]])
-    if any(dot(cov, y) < 0 for cov in covectors):
+    if any(pj < 0 for pj in p):
         raise ValueError(
             "no dominant representative found; the group does not contain the "
             "full Weyl group of the root system"
         )
+    y = xv
+    scale = den * rs.covector_scale
+    for i, move in enumerate(moves):
+        if move:
+            c = Fraction(2 * move, scale) / rs.simple_gram[i][i]
+            y = tuple(t - c * a for t, a in zip(y, rs.simple_roots[i]))
     positives = len(rs.positive_roots)
     simple_ids = {i: rs.simple_positions[i] for i in gens}
     word = []

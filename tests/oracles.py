@@ -183,6 +183,11 @@ def share_chamber_by_enumeration(group, x, y) -> bool:
     )
 
 
+def share_chamber_by_pairings(rs, x, y) -> bool:
+    """lam(x) * lam(y) >= 0 for every positive root lam, in Fractions."""
+    return all(_pair(rs, lam, x) * _pair(rs, lam, y) >= 0 for lam in rs.positive_roots)
+
+
 def in_convex_hull(points, target) -> bool:
     """Exact membership of target in conv(points), by phase-one simplex.
 

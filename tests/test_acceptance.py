@@ -292,7 +292,7 @@ def test_criterion_5_local_max_agreement():
     model = matmodel.make_model("sym", 3)
     group = generate(model.root_system)
     rng = random.Random(515151)
-    disagreements = []
+    pairs = []
     for k in range(100):
         x = [rng.randint(-4, 4) for _ in range(3)]
         beta = [rng.randint(-4, 4) for _ in range(3)]
@@ -302,9 +302,13 @@ def test_criterion_5_local_max_agreement():
         if all(c == 0 for c in x):
             x = [1, 0, -1]
         xd = to_dominant(group, tuple(Fraction(c) for c in x)).vector
-        record = matmodel.local_max_test(model, xd, beta, seed=k)
-        if not record["agree"]:
-            disagreements.append((xd, beta, record))
+        pairs.append((xd, beta, k))
+    records = matmodel.local_max_test(model, pairs)
+    disagreements = [
+        (xd, beta, record)
+        for (xd, beta, _), record in zip(pairs, records)
+        if not record["agree"]
+    ]
     ok = not disagreements
     verdict(5, ok, f"100 pairs, {100 - len(disagreements)}/100 agree")
     assert not disagreements, disagreements[:2]

@@ -96,3 +96,9 @@ def test_traced_verify_calls_each_stage_once():
     assert out["b2"]["polytope.hull.calls"] == 1
     assert out["b2"]["polytope.face_lattice.calls"] == 1
     assert out["b2"]["weyl.to_dominant.calls"] == 1
+    # the local-max stage is one stacked call over its 100 pairs; x and
+    # each pair's dominant point make 101 to_dominant calls, and each pair
+    # one chamber test
+    assert out["sym2"]["matmodel.local_max_test.calls"] == 1
+    assert out["sym2"]["weyl.to_dominant.calls"] == 101
+    assert out["sym2"]["rootsys.share_closed_chamber.calls"] == 100

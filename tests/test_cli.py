@@ -312,6 +312,12 @@ def test_hull_face_budget_is_a_clean_error(capsys):
     assert err == "error: face budget of 20 exceeded\n"
 
 
+def test_root_system_size_cap_is_a_clean_error(capsys):
+    # A60 has 1830 positive roots; the build stops before constructing them
+    err = error_message(capsys, ["describe", "--system", "A60", "--x", "1"])
+    assert err == "error: root system A60 has 1830 positive roots, past the cap of 64\n"
+
+
 def test_lattice_face_budget_is_a_clean_error(capsys):
     # B3 at a regular point has 26 facets and 147 faces
     err = error_message(
@@ -344,6 +350,30 @@ def test_nonpositive_counts_are_clean_errors(capsys, flag, value):
 )
 def test_model_x_out_of_float_range_is_a_clean_error(capsys, model, x):
     err = error_message(capsys, ["verify", "--model", model, "--x", x])
+    assert err == f"error: --x {x} is out of the float range of the matrix model\n"
+
+
+@pytest.mark.parametrize(
+    "model, x", [("sym2", "1e150,-1e150"), ("skew5", "2e105,1e105")]
+)
+def test_model_x_overflowing_a_stage_is_a_clean_error(capsys, model, x):
+    # x itself is a float, but the Hessian stage's values overflow
+    err = error_message(
+        capsys, ["verify", "--model", model, "--x", x, "--n-samples", "200"]
+    )
+    assert err == f"error: --x {x} is out of the float range of the matrix model\n"
+
+
+@pytest.mark.parametrize(
+    "model, x",
+    [("sym2", "1e-400,-1e-400"), ("sym3", "2e-170,0,-2e-170"), ("skew5", "2e-200,1e-200")],
+)
+def test_model_x_underflowing_is_a_clean_error(capsys, model, x):
+    # the float norm of x is zero: before, a singular Gram matrix or a
+    # division by zero
+    err = error_message(
+        capsys, ["verify", "--model", model, "--x", x, "--n-samples", "200"]
+    )
     assert err == f"error: --x {x} is out of the float range of the matrix model\n"
 
 

@@ -319,8 +319,62 @@ def counting_expm(monkeypatch):
 def test_local_max_test_makes_one_expm_call(monkeypatch):
     calls = counting_expm(monkeypatch)
     model = matmodel.make_model("skew", 5)
-    matmodel.local_max_test(model, (2, 1), (1, -1), n_directions=40, seed=3)
+    matmodel.local_max_test(model, [((2, 1), (1, -1), 3)], n_directions=40)
     assert calls == [(40, 5, 5)]
+
+
+class LeadingZerosGenerator:
+    """A generator whose draws start with ``count`` exact zeros."""
+
+    def __init__(self, rng, count):
+        self.rng, self.count = rng, count
+
+    def standard_normal(self, size=None):
+        values = self.rng.standard_normal(size)
+        values[: self.count] = 0.0
+        return values
+
+
+@pytest.mark.parametrize(
+    "n_pairs, zeroed",
+    [(1, ()), (4, ()), (4, (1,)), (9, (0, 5))],
+    ids=["one", "fills-a-chunk", "short-of-a-chunk", "three-stacks"],
+)
+def test_stacked_local_max_matches_one_pair_calls(monkeypatch, n_pairs, zeroed):
+    """Records of one stacked call equal one-pair calls bit for bit.
+
+    skew5 has two basis matrices per root block, so every direction, and
+    each pair's largest second derivative, depends on the pair's seed.
+    Pair k draws from seed k, 128 directions each, so four pairs fill one
+    _CHUNK.  The draw of a seed in ``zeroed`` starts with two zeros: its
+    first direction, in block 0, has norm zero and is dropped, and its
+    stack is one slice short.
+    """
+    model = matmodel.make_model("skew", 5)
+    block = matmodel._root_spaces(model).block_slices[0]
+    stream = matmodel._stream
+
+    def zeroing(seed, stage, index=0):
+        rng = stream(seed, stage, index)
+        if seed in zeroed:
+            return LeadingZerosGenerator(rng, block.stop - block.start)
+        return rng
+
+    monkeypatch.setattr(matmodel, "_stream", zeroing)
+    rng = random.Random(n_pairs)
+    pairs = [
+        ([rng.randint(-4, 4) for _ in range(2)], [rng.randint(-4, 4) for _ in range(2)], k)
+        for k in range(n_pairs)
+    ]
+    calls = counting_expm(monkeypatch)
+    stacked = matmodel.local_max_test(model, pairs, n_directions=128)
+    per_stack = matmodel._CHUNK // 128
+    assert [shape[0] for shape in calls] == [
+        sum(128 - (k in zeroed) for k in range(first, min(first + per_stack, n_pairs)))
+        for first in range(0, n_pairs, per_stack)
+    ]
+    singles = [matmodel.local_max_test(model, [p], n_directions=128)[0] for p in pairs]
+    assert repr(stacked) == repr(singles)
 
 
 def test_hessian_check_makes_one_expm_call(monkeypatch):
@@ -341,8 +395,9 @@ def test_fd_directions_are_per_draw_seeded():
     x, beta = (2, 1), (1, -1)
     base, beta_mat = matmodel.embed(model, x), matmodel.embed(model, beta)
     blocks = [0, 1, None, None, 3]
-    stream = matmodel._stream(9, matmodel._LOCAL_MAX)
-    xis = matmodel._random_directions(spaces, stream, blocks)
+    layout = matmodel._direction_layout(spaces, blocks)
+    weights = matmodel._direction_weights(spaces, [(9, matmodel._LOCAL_MAX)], layout)
+    xis, _ = matmodel._unit_directions(spaces, weights)
     seconds = matmodel._height_curve_second_derivatives(base, beta_mat, xis, 1e-4)
     rng = np.random.default_rng((9, matmodel._LOCAL_MAX, 0))
     for t, block in enumerate(blocks):
@@ -387,7 +442,7 @@ def test_no_two_stages_share_random_numbers(monkeypatch):
         monkeypatch, lambda: matmodel.sample_orbit(model, x, 50, seed=0)
     )
     local = gaussians_drawn_by(
-        monkeypatch, lambda: matmodel.local_max_test(model, x, beta, seed=0)
+        monkeypatch, lambda: matmodel.local_max_test(model, [(x, beta, 0)])
     )
     hessian = gaussians_drawn_by(
         monkeypatch, lambda: matmodel.hessian_check(model, x, beta, 25, seed=0)
@@ -568,6 +623,40 @@ def test_hessian_closed_form_matches_finite_differences():
         assert record["max_abs_error"] <= 1e-5 * scale, (kind, n)
 
 
+def closed_form_by_loop(model, x, beta, xi):
+    """The closed-form Hessian along one direction, one root block at a time."""
+    rs = model.root_system
+    spaces = matmodel._root_spaces(model)
+    base = matmodel.embed(model, x)
+    weights = spaces.from_coords @ np.array([xi[i, j] for i, j in spaces.pairs])
+    total = 0.0
+    for lam, block in zip(rs.covectors, spaces.block_slices):
+        lam_x = sum(a * b for a, b in zip(lam, x))
+        if lam_x:
+            xi_lam = np.tensordot(weights[block], spaces.basis_mats[block], axes=1)
+            z = base @ xi_lam - xi_lam @ base
+            lam_beta = float(sum(a * b for a, b in zip(lam, beta)))
+            total -= lam_beta * float(np.sum(z * z)) / float(lam_x)
+    return total
+
+
+@pytest.mark.parametrize(
+    "kind, n, x, beta",
+    [("sym", 4, (3, 1, -1, -3), (2, 1, -1, -2)), ("skew", 5, (3, 1), (1, -2)),
+     ("skew", 7, (3, 2, 0), (2, 2, 1))],
+)
+def test_stacked_closed_form_matches_the_loop(kind, n, x, beta):
+    """All directions at once give the per-direction values bit for bit."""
+    model = matmodel.make_model(kind, n)
+    spaces = matmodel._root_spaces(model)
+    layout = matmodel._direction_layout(spaces, [None] * 30)
+    weights = matmodel._direction_weights(spaces, [(n, matmodel._HESSIAN)], layout)
+    xis, _ = matmodel._unit_directions(spaces, weights)
+    x, beta = tuple(map(Fraction, x)), tuple(map(Fraction, beta))
+    stacked = matmodel._closed_forms(model, x, beta, xis)
+    assert stacked.tolist() == [closed_form_by_loop(model, x, beta, xi) for xi in xis]
+
+
 def test_hessian_zero_beta_is_flat():
     model = matmodel.make_model("sym", 3)
     record = matmodel.hessian_check(model, (2, 0, -2), (0, 0, 0), 5)
@@ -577,14 +666,14 @@ def test_hessian_zero_beta_is_flat():
 def test_local_max_frozen_cases():
     model = matmodel.make_model("sym", 3)
     x = (2, 0, -2)
-    same = matmodel.local_max_test(model, x, (1, 1, -2))
+    same, opposite, flat = matmodel.local_max_test(
+        model, [(x, (1, 1, -2), 0), (x, (-2, 0, 2), 0), (x, (0, 0, 0), 0)]
+    )
     assert same["chamber"] and same["numeric"] and same["agree"]
-    opposite = matmodel.local_max_test(model, x, (-2, 0, 2))
     assert not opposite["chamber"]
     assert not opposite["numeric"]
     assert opposite["agree"]
     assert opposite["max_second_derivative"] > opposite["threshold"]
-    flat = matmodel.local_max_test(model, x, (0, 0, 0))
     assert flat["chamber"] and flat["numeric"]
 
 
@@ -594,6 +683,7 @@ def test_local_max_agreement_sweep():
         model = matmodel.make_model(kind, n)
         group = generate(model.root_system)
         d = model.root_system.ambient_dim
+        pairs = []
         for k in range(15):
             x = [rng.randint(-4, 4) for _ in range(d)]
             beta = [rng.randint(-4, 4) for _ in range(d)]
@@ -604,8 +694,9 @@ def test_local_max_agreement_sweep():
             if all(c == 0 for c in x):
                 x = [1] + [0] * (d - 2) + [-1]
             xd = to_dominant(group, tuple(Fraction(c) for c in x)).vector
-            rec = matmodel.local_max_test(model, xd, beta, seed=k)
-            assert rec["agree"], (kind, xd, beta, rec)
+            pairs.append((xd, beta, k))
+        for pair, rec in zip(pairs, matmodel.local_max_test(model, pairs)):
+            assert rec["agree"], (kind, pair, rec)
 
 
 def test_ext_face_dim_matches_prediction():

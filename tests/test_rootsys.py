@@ -55,6 +55,19 @@ def test_catalog_shapes():
         assert rs.centralizer_dim == 0
 
 
+@pytest.mark.parametrize(
+    "fits, past, count",
+    [("A10", "A11", 66), ("B8", "B9", 81), ("C8", "C9", 81), ("D8", "D9", 72),
+     ("BC7", "BC8", 72)],
+)
+def test_root_count_cap_at_the_catalog_boundary(fits, past, count):
+    """The largest member of each family within the cap of 64 builds; the
+    next is refused, naming the positive-root count it would have."""
+    assert len(build_root_system(fits).positive_roots) <= 64
+    with pytest.raises(ValueError, match=f"{past} has {count} positive roots"):
+        build_root_system(past)
+
+
 def test_labels_case_insensitive():
     assert build_root_system("g2").label == "G2"
     assert build_root_system(" bc2 ").label == "BC2"

@@ -13,6 +13,7 @@ from oracles import (
     image,
     matrix_group,
     orbit_by_matrices,
+    share_chamber_by_pairings,
     vertex_permutations_by_matrices,
 )
 from orbitope_lab import polytope as poly
@@ -22,6 +23,7 @@ from orbitope_lab.rootsys import (
     build_root_system,
     dominant_with_walls,
     is_dominant,
+    share_closed_chamber,
 )
 from orbitope_lab.weyl import (
     generate,
@@ -255,3 +257,26 @@ def test_to_dominant_matches_matrix_oracle(spec, coords):
     dom = to_dominant(group, x)
     assert (dom.vector, dom.word) == dominant_by_scan(oracle, x)
     assert orbit(group, x) == orbit_by_matrices(oracle, x)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    st.sampled_from(("A3", "B3", "BC3", "G2", "F4", SKEW_G2)),
+    st.lists(st.fractions(-6, 6, max_denominator=4), min_size=8, max_size=8),
+)
+def test_integer_pairings_match_fraction_oracles(spec, coords):
+    """share_closed_chamber and to_dominant work on integer pairings.
+
+    The chamber test agrees with the Fraction formula on x and y, on x and
+    its own dominant representative and on two dominant points; the
+    pairing walk lands on the vector and word of the matrix-group scan.
+    """
+    rs, group, oracle = groups(spec)
+    d = rs.ambient_dim
+    x, y = tuple(coords[:d]), tuple(coords[4 : 4 + d])
+    dom = to_dominant(group, x)
+    assert (dom.vector, dom.word) == dominant_by_scan(oracle, x)
+    y_plus = to_dominant(group, y).vector
+    for u, v in ((x, y), (x, dom.vector), (dom.vector, y_plus)):
+        assert share_closed_chamber(rs, u, v) == share_chamber_by_pairings(rs, u, v)
+    assert share_closed_chamber(rs, dom.vector, y_plus)
