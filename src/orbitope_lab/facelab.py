@@ -21,12 +21,13 @@ from itertools import combinations
 
 from . import polytope as poly
 from . import weyl
-from .linalg import Vec, dot, mat, rank, vec, vec_add, vec_sub, zeros
+from .linalg import Vec, cleared, cleared_rows, echelon, int_dot, vec, vec_add, zeros
 from .rootsys import (
     RootSystem,
     fundamental_coweights,
     is_dominant,
     metric_covector,
+    simple_pairings,
 )
 
 
@@ -101,11 +102,8 @@ def is_x_connected(rs: RootSystem, indices, x) -> bool:
     The empty subset is x-connected vacuously.
     """
     subset = _check_subset(rs, indices)
-    xv = vec(x)
-    return all(
-        any(dot(rs.simple_covectors[i], xv) != 0 for i in comp)
-        for comp in _components(rs, subset)
-    )
+    pairings = simple_pairings(rs, x)
+    return all(any(pairings[i] for i in comp) for comp in _components(rs, subset))
 
 
 def saturation(rs: RootSystem, indices, x) -> frozenset:
@@ -115,15 +113,13 @@ def saturation(rs: RootSystem, indices, x) -> frozenset:
     the given subset.  Raises ValueError when the subset is not
     x-connected, since the construction is only meaningful there.
     """
-    xv = vec(x)
     base = _check_subset(rs, indices)
-    if not is_x_connected(rs, base, xv):
+    if not is_x_connected(rs, base, x):
         raise ValueError("subset is not x-connected")
+    pairings = simple_pairings(rs, x)
     extra = set()
     for j in range(rs.rank):
-        if j in base:
-            continue
-        if dot(rs.simple_covectors[j], xv) != 0:
+        if j in base or pairings[j]:
             continue
         if all(rs.simple_gram[j][i] == 0 for i in base):
             extra.add(j)
@@ -136,11 +132,11 @@ def largest_x_connected_subset(rs: RootSystem, indices, x) -> frozenset:
     Applied to a saturation this recovers the original x-connected subset,
     which is what makes the face classification injective.
     """
-    xv = vec(x)
     subset = _check_subset(rs, indices)
+    pairings = simple_pairings(rs, x)
     keep = set()
     for comp in _components(rs, subset):
-        if any(dot(rs.simple_covectors[i], xv) != 0 for i in comp):
+        if any(pairings[i] for i in comp):
             keep |= comp
     return frozenset(keep)
 
@@ -157,8 +153,7 @@ def canonical_beta(rs: RootSystem, subset_j) -> Vec:
     for i in range(rs.rank):
         if i not in walls:
             beta = vec_add(beta, coweights[i])
-    for i, c in enumerate(rs.simple_covectors):
-        value = dot(c, beta)
+    for i, value in enumerate(simple_pairings(rs, beta)):
         if i in walls and value != 0:
             raise ValueError("coweight sum fails to vanish on J")
         if i not in walls and value <= 0:
@@ -200,12 +195,14 @@ def classify_faces(rs: RootSystem, group: weyl.WeylGroup, x) -> tuple:
     if not is_dominant(rs, xv):
         raise ValueError("x is not dominant; apply weyl.to_dominant first")
 
-    positives = list(zip(rs.covectors, rs.positive_multiplicities))
+    xs = cleared(xv)[1]
+    moved = [int_dot(c, xs) != 0 for c in rs.integer_covectors]
+    mults = rs.positive_multiplicities
     supports = [
         frozenset(i for i, c in enumerate(coeffs) if c)
         for coeffs in rs.positive_coefficients
     ]
-    total_mult = sum(m for _, m in positives)
+    total_mult = sum(mults)
     out = []
     for size in range(rs.rank):
         for subset in combinations(range(rs.rank), size):
@@ -217,16 +214,11 @@ def classify_faces(rs: RootSystem, group: weyl.WeylGroup, x) -> tuple:
                 continue
             beta = canonical_beta(rs, sat)
             sigma = tuple(sorted(weyl.orbit(parabolic_subgroup(group, sat), xv)))
-            if len(sigma) == 1:
-                dim_sigma = 0
-            else:
-                base = sigma[0]
-                dim_sigma = rank(mat([vec_sub(p, base) for p in sigma[1:]]))
+            ys = cleared_rows(sigma)[1]
+            dim_sigma = len(echelon([[a - b for a, b in zip(y, ys[0])] for y in ys]))
             inside = [i for i, s in enumerate(supports) if s <= sat]
-            dim_ext = sum(
-                positives[i][1] for i in inside if dot(positives[i][0], xv) != 0
-            )
-            mult_inside = sum(positives[i][1] for i in inside)
+            dim_ext = sum(mults[i] for i in inside if moved[i])
+            mult_inside = sum(mults[i] for i in inside)
             out.append(
                 FaceDescriptor(
                     I=chosen,

@@ -4,12 +4,19 @@ Vectors are tuples of ``fractions.Fraction``; matrices are tuples of row
 tuples.  Everything in this module is exact.  It is the arithmetic bedrock
 for the exact side of the package (root systems, reflection groups,
 polytopes).  Floating point lives in :mod:`orbitope_lab.matmodel` only.
+
+The exact layers clear denominators and work in integers: ``cleared_rows``
+puts rational points over one common denominator, ``int_dot`` pairs integer
+vectors and ``echelon`` eliminates fraction-free.  ``Fraction`` sits at the
+boundary: parsed input, one-off root-system data, report fields and public
+return values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 Vec = tuple
 Mat = tuple
@@ -56,17 +63,17 @@ def vec_scale(c, v: Vec) -> Vec:
     return tuple(c * x for x in v)
 
 
+def int_dot(u, v) -> int:
+    """Dot product of integer vectors, in integers."""
+    return sum(map(mul, u, v))
+
+
 def dot(u: Vec, v: Vec) -> Fraction:
     return sum((x * y for x, y in zip(u, v, strict=True)), ZERO)
 
 
 def matvec(a: Mat, v: Vec) -> Vec:
     return tuple(dot(row, v) for row in a)
-
-
-def matmul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
 def rref(a) -> tuple[list, list[int]]:
@@ -92,12 +99,6 @@ def rref(a) -> tuple[list, list[int]]:
         pivots.append(c)
         r += 1
     return rows, pivots
-
-
-def rank(a) -> int:
-    if not a:
-        return 0
-    return len(rref(a)[1])
 
 
 def solve(a: Mat, b: Vec):
@@ -184,7 +185,31 @@ def primitive(values) -> tuple[int, ...]:
     return ints if g == 0 else tuple(x // g for x in ints)
 
 
-def independent_rows(rows) -> list[int]:
-    """Indices of a maximal linearly independent subset, scanned in order:
-    the pivot columns of the rows set side by side as columns."""
-    return rref(transpose(mat(rows)))[1]
+def cleared_rows(rows) -> tuple[int, tuple]:
+    """(d, d * rows as integer tuples): d is the least common denominator of
+    the entries of the rational (or integer) rows."""
+    d = lcm(*(x.denominator for r in rows for x in r))
+    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in r) for r in rows)
+
+
+def echelon(rows) -> dict:
+    """A basis of the integer rows' span by fraction-free elimination, as
+    {index of a row kept: its reduced row}.
+
+    Rows are scanned in order and one is kept when it is independent of the
+    rows before it: the keys are the same greedy choice of a maximal
+    independent subset that the pivot columns of the rows set side by side
+    would give.  Each reduced row is primitive and zero at the leading entries
+    of the rows kept before it, so the leading entries sit in distinct
+    coordinates, on which the span projects bijectively.
+    """
+    basis, leads = {}, []
+    for k, row in enumerate(rows):
+        for lead, kept in zip(leads, basis.values()):
+            if row[lead]:
+                row = [kept[lead] * x - row[lead] * y for x, y in zip(row, kept)]
+        if any(row):
+            g = gcd(*row)
+            basis[k] = [x // g for x in row]
+            leads.append(next(j for j, x in enumerate(row) if x))
+    return basis

@@ -9,6 +9,14 @@ not a second pass.  No floating point enters, and the hull reads nothing but
 the points, so it stays an independent check on the root-data
 classification.
 
+The integer coordinates come from clearing every denominator once.  A
+fraction-free echelon of the differences picks the affine basis, and the
+points are projected onto the echelon's leading coordinates, a bijection on
+the affine hull.  Each facet normal found there is lifted back into the
+direction space once, by one integer matrix per hull.  The polytope keeps
+its vertices over one common denominator too, so supports and the group's
+action on the vertices are evaluated in integers.
+
 Facet inequalities are stored in ambient coordinates as pairs
 ``(normal, offset)`` meaning ``<normal, x> <= offset``, jointly scaled to
 coprime integers.  Vertices are sorted lexicographically, and all face
@@ -17,21 +25,22 @@ objects refer to vertices by index into that sorted tuple.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
 
 from . import weyl
 from .linalg import (
     Vec,
+    cleared,
+    cleared_rows,
     dot,
-    independent_rows,
+    echelon,
+    int_dot,
     inverse,
-    matmul,
-    matvec,
-    primitive,
+    mat,
     solve,
     transpose,
     vec,
@@ -59,6 +68,11 @@ class RationalPolytope:
     origin: Vec
     basis: tuple
     faces: tuple
+
+    @functools.cached_property
+    def cleared_vertices(self) -> tuple:
+        """(D, D * vertices as integer tuples), D their least common denominator."""
+        return cleared_rows(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -96,25 +110,6 @@ def _cross(rows) -> tuple:
     return tuple(out)
 
 
-def _echelon(rows) -> list:
-    """A basis of the integer rows' span, by fraction-free elimination: each
-    row kept is zero at the leading entries of the rows kept before it."""
-    basis = []
-    for row in rows:
-        for kept in basis:
-            lead = next(j for j, x in enumerate(kept) if x)
-            if row[lead]:
-                row = [kept[lead] * x - row[lead] * y for x, y in zip(row, kept)]
-        if any(row):
-            g = math.gcd(*row)
-            basis.append([x // g for x in row])
-    return basis
-
-
-def _dot(u, v) -> int:
-    return sum(map(mul, u, v))
-
-
 def _rotate(below, n, b, w, c):
     """Turn the supporting plane <n, x> = b towards w about its points on
     <w, x> = c until it meets another point: the one of ``below``, pairs of
@@ -123,7 +118,7 @@ def _rotate(below, n, b, w, c):
     """
     bg, bh = None, 1
     for p, h in below:
-        g = _dot(w, p) - c
+        g = int_dot(w, p) - c
         if bg is None or g * bh > bg * h:
             bg, bh = g, h
     normal = [bg * x + bh * y for x, y in zip(n, w)]
@@ -136,9 +131,10 @@ def _first_facet(coords):
     d = len(coords[0])
     n, b = (-1,) + (0,) * (d - 1), -min(p[0] for p in coords)
     while True:
-        below = [(p, b - _dot(n, p)) for p in coords]
+        below = [(p, b - int_dot(n, p)) for p in coords]
         t0, *tight = [p for p, h in below if not h]
-        rows = _echelon([[x - y for x, y in zip(p, t0)] for p in tight] + [n])
+        diffs = [[x - y for x, y in zip(p, t0)] for p in tight]
+        rows = list(echelon(diffs + [n]).values())
         if len(rows) == d:
             return n, b
         # w is orthogonal to the points and to n: pad the rows with unit
@@ -146,7 +142,7 @@ def _first_facet(coords):
         leads = {next(j for j, x in enumerate(r) if x) for r in rows}
         units = [[int(i == j) for i in range(d)] for j in range(d) if j not in leads]
         w = _cross(rows + units[1:])
-        n, b = _rotate([(p, h) for p, h in below if h], n, b, w, _dot(w, t0))
+        n, b = _rotate([(p, h) for p, h in below if h], n, b, w, int_dot(w, t0))
 
 
 def _ridges(coords, n, tight, budget):
@@ -161,9 +157,9 @@ def _ridges(coords, n, tight, budget):
             r0 = coords[ridge[0]]
             edges = [[x - y for x, y in zip(coords[i], r0)] for i in ridge[1:]]
             w = _cross(edges + [n])
-            if _dot(w, coords[q]) > _dot(w, r0):
+            if int_dot(w, coords[q]) > int_dot(w, r0):
                 w = tuple(-x for x in w)
-            out.append((w, _dot(w, r0), ridge))
+            out.append((w, int_dot(w, r0), ridge))
         # and its faces are its nonempty point subsets
         faces = {s: k - 1 for k in range(1, d + 1) for s in combinations(tight, k)}
         return out, faces
@@ -197,7 +193,7 @@ def _wrap(coords, budget):
     done = set()
     faces = {}
     for wrapped, (n, b) in enumerate(queue, 1):
-        below = [(p, b - _dot(n, p)) for p in coords]
+        below = [(p, b - int_dot(n, p)) for p in coords]
         found[n, b] = tuple(i for i, (_, h) in enumerate(below) if not h)
         ridges, facet_faces = _ridges(coords, n, found[n, b], budget)
         faces.update(facet_faces)
@@ -215,23 +211,34 @@ def _wrap(coords, budget):
     return [(n, b, tight) for (n, b), tight in found.items()], faces
 
 
+def _lift(rows, leads):
+    """The integer matrix L taking a normal n on the leading coordinates of
+    the echelon ``rows`` to the normal in their span: for v in the span,
+    <L n, v> is one positive multiple of <n, v restricted to the leads>.
+
+    With E the rows, E_P their leading columns and c G^-1 an integer
+    multiple of the inverse of G = E E^T, L = E^T (c G^-1) E_P.
+    """
+    _, inv = cleared_rows(inverse(mat([[int_dot(a, b) for b in rows] for a in rows])))
+    at_leads = [[r[j] for j in leads] for r in rows]
+    middle = [[int_dot(row, col) for col in zip(*at_leads)] for row in inv]
+    return [[int_dot(e, m) for m in zip(*middle)] for e in zip(*rows)]
+
+
 def hull(points, *, budget: int = DEFAULT_FACE_BUDGET) -> RationalPolytope:
     """Exact convex hull of a finite rational point set.
 
-    Each facet costs a pass over the m distinct points and the hull of its
+    The points are cleared to integers over one common denominator and
+    wrapped on the leading coordinates of the echelon of their differences;
+    each facet normal is lifted back to ambient coordinates once.  Each
+    facet costs a pass over the m distinct points and the hull of its
     own points one dimension down; each ridge costs one more pass.  So the
     work grows with m times the number of faces, not with the C(m, d)
     point subsets of the affine dimension d.  The faces met on the way
     down are kept as the polytope's ``faces``.  Raises ValueError when more
     than ``budget`` faces, the polytope itself included, turn up.
     """
-    pts = []
-    seen = set()
-    for p in points:
-        v = vec(p)
-        if v not in seen:
-            seen.add(v)
-            pts.append(v)
+    pts = list(dict.fromkeys(vec(p) for p in points))
     if not pts:
         raise ValueError("cannot take the hull of an empty point set")
     ambient = len(pts[0])
@@ -239,21 +246,18 @@ def hull(points, *, budget: int = DEFAULT_FACE_BUDGET) -> RationalPolytope:
         raise ValueError("points have mixed ambient dimensions")
 
     p0 = pts[0]
-    diffs = [vec_sub(p, p0) for p in pts[1:]]
-    basis = tuple(diffs[i] for i in independent_rows(diffs)) if diffs else ()
+    den, ys = cleared_rows(pts)
+    rows = echelon([[x - y for x, y in zip(p, ys[0])] for p in ys[1:]])
+    basis = tuple(vec_sub(pts[k + 1], p0) for k in rows)
     d = len(basis)
     if d == 0:
         vertices, facets, faces = (p0,), [], [PolytopeFace((0,), 0)]
     else:
-        bbt_inv = inverse(matmul(basis, transpose(basis)))
-        proj = matmul(bbt_inv, basis)
-        reduced = [matvec(proj, vec_sub(p, p0)) for p in pts]
-        scale = math.lcm(*(c.denominator for r in reduced for c in r))
-        coords = [tuple(int(c * scale) for c in r) for r in reduced]
-
-        red_facets, red_faces = _wrap(coords, budget)
+        leads = [next(j for j, x in enumerate(r) if x) for r in rows.values()]
+        red_facets, red_faces = _wrap([tuple(p[j] for j in leads) for p in ys], budget)
+        # one positive denominator: the integer points sort as the rationals
         order = sorted(
-            (on[0] for on, dim in red_faces.items() if not dim), key=pts.__getitem__
+            (on[0] for on, dim in red_faces.items() if not dim), key=ys.__getitem__
         )
         vertices = tuple(pts[i] for i in order)
         index = {i: k for k, i in enumerate(order)}
@@ -264,14 +268,14 @@ def hull(points, *, budget: int = DEFAULT_FACE_BUDGET) -> RationalPolytope:
         faces.append(PolytopeFace(tuple(range(len(vertices))), d))
         faces.sort(key=lambda f: (f.dim, f.vertex_indices))
 
-        lift = transpose(proj)
-        facets = []
-        for n, b, _ in red_facets:
-            nu = matvec(lift, vec(n))
-            offset = Fraction(b, scale) + dot(nu, p0)
-            joint = primitive(tuple(nu) + (offset,))
-            facets.append((vec(joint[:-1]), Fraction(joint[-1])))
-        facets.sort()
+        lift = _lift(list(rows.values()), leads)
+        joints = []
+        for n, _, on in red_facets:
+            nu = [int_dot(row, n) for row in lift]
+            joint = [den * x for x in nu] + [int_dot(nu, ys[on[0]])]
+            g = math.gcd(*joint)
+            joints.append((tuple(x // g for x in joint[:-1]), joint[-1] // g))
+        facets = [(vec(nu), Fraction(c)) for nu, c in sorted(joints)]
     # _wrap stops as soon as its count passes the budget; this count also
     # covers the point and the segment, which do not wrap
     if len(faces) > budget:
@@ -292,14 +296,18 @@ def support(polytope: RationalPolytope, beta):
     """Maximum of <beta, x> over the polytope, with the argmax vertex indices.
 
     Returns (value, indices) where indices is the sorted tuple of vertex
-    indices attaining the maximum.
+    indices attaining the maximum.  The pairings are integer dot products of
+    beta's cleared numerators with the cleared vertices; only the maximum is
+    turned back into a Fraction.
     """
-    b = vec(beta)
+    den, b = cleared(beta)
     if len(b) != polytope.ambient_dim:
         raise ValueError("direction has the wrong ambient dimension")
-    values = [dot(b, v) for v in polytope.vertices]
+    scale, ints = polytope.cleared_vertices
+    values = [int_dot(b, v) for v in ints]
     top = max(values)
-    return top, tuple(i for i, val in enumerate(values) if val == top)
+    ids = tuple(i for i, v in enumerate(values) if v == top)
+    return Fraction(top, den * scale), ids
 
 
 def exposed_face(polytope: RationalPolytope, beta) -> PolytopeFace:
@@ -330,16 +338,15 @@ def vertex_permutations(polytope: RationalPolytope, group) -> tuple:
     element of ``group``.  Each simple reflection's permutation is found
     once; element i is its BFS parent (its word less the last letter)
     times that letter, so its permutation is the parent's composed with
-    the letter's by tuple indexing.  Raises ValueError when the group
-    does not map the vertex set onto itself.
+    the letter's by tuple indexing.  The letters act on the cleared
+    vertices, in integers.  Raises ValueError when the group does not map
+    the vertex set onto itself.
     """
     rs = group.root_system
     if rs.ambient_dim != polytope.ambient_dim:
         raise ValueError("the group and the polytope have different dimensions")
-    letters = {
-        i: weyl.point_permutation(rs, i, polytope.vertices)
-        for i in group.generator_indices
-    }
+    ints = polytope.cleared_vertices[1]
+    letters = {i: weyl.point_permutation(rs, i, ints) for i in group.generator_indices}
     index_of_word = {w: i for i, w in enumerate(group.words)}
     perms = []
     for word in group.words:

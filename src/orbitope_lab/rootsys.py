@@ -7,11 +7,14 @@ default).  Root/vector pairings go through that form, so a root acts on a
 vector as ``lambda(v) = <lambda, v>_G``.
 
 Each root system computes its pairing data once, on first use, and every
-other module reads it from there: ``roots``, the covector ``G lambda`` of
-each positive root (so ``lambda(v)`` is one plain dot product), their
-common integer multiple ``integer_covectors`` for sign tests,
-``simple_positions``, the simple-root Gram matrix, its inverse and the
-Cartan matrix.  This module is the only one that multiplies by the Gram
+other module reads it from there: ``roots`` and their cleared integer form
+``integer_roots``, the covector ``G lambda`` of each positive root (so
+``lambda(v)`` is one plain dot product), their common integer multiple
+``integer_covectors`` for sign tests, ``simple_positions``, the simple-root
+Gram matrix, its inverse, the Cartan matrix, the fundamental coweights and
+the integer rows ``coefficient_covectors`` that read off simple-root
+coefficients.  The covectors, the simple-root Gram matrix and the Cartan
+matrix are computed in integers from the cleared roots and Gram matrix.  This module is the only one that multiplies by the Gram
 matrix; ``pairing`` and ``metric_covector`` do it for vectors that are not
 roots.
 
@@ -31,7 +34,6 @@ bookkeeping downstream) can be supplied through the text format, see
 from __future__ import annotations
 
 import functools
-import operator
 import os
 import re
 from dataclasses import dataclass
@@ -41,15 +43,15 @@ from .linalg import (
     Mat,
     Vec,
     cleared,
+    cleared_rows,
     det,
     dot,
+    echelon,
     frac,
     identity,
+    int_dot,
     inverse,
     matvec,
-    nullspace,
-    primitive,
-    rank,
     rref,
     solve,
     transpose,
@@ -97,22 +99,35 @@ class RootSystem:
         )
 
     @functools.cached_property
+    def integer_roots(self) -> tuple:
+        """(r, r * roots as integer tuples), r the least common denominator
+        of the roots, in ``roots`` order."""
+        return cleared_rows(self.roots)
+
+    @functools.cached_property
     def covectors(self) -> tuple:
-        """G lambda for each positive root lambda: lambda(v) = covectors[k] . v."""
-        return tuple(matvec(self.inner_product, r) for r in self.positive_roots)
+        """G lambda for each positive root lambda: lambda(v) = covectors[k] . v.
+
+        Computed in integers from the cleared Gram matrix and roots, then
+        divided by the product of their denominators."""
+        g, gram = cleared_rows(self.inner_product)
+        r, roots = self.integer_roots
+        return tuple(
+            tuple(Fraction(int_dot(row, root), g * r) for row in gram)
+            for root in roots[: len(self.positive_roots)]
+        )
 
     @functools.cached_property
     def covector_scale(self) -> int:
         """The least positive integer making every covector integral."""
-        return cleared(c for cov in self.covectors for c in cov)[0]
+        return cleared_rows(self.covectors)[0]
 
     @functools.cached_property
     def integer_covectors(self) -> tuple:
         """``covector_scale`` times each covector, as integers: a positive
         multiple of every pairing, so its sign and the walk of
         ``weyl.to_dominant`` are exact in integers."""
-        m = self.covector_scale
-        return tuple(tuple(int(m * c) for c in cov) for cov in self.covectors)
+        return cleared_rows(self.covectors)[1]
 
     @functools.cached_property
     def simple_positions(self) -> tuple:
@@ -125,10 +140,18 @@ class RootSystem:
         return tuple(self.covectors[k] for k in self.simple_positions)
 
     @functools.cached_property
+    def _integer_simple_gram(self) -> tuple:
+        """covector_scale * r * <alpha_i, alpha_j>_G, r the roots' denominator."""
+        simple = [self.integer_roots[1][k] for k in self.simple_positions]
+        covectors = [self.integer_covectors[k] for k in self.simple_positions]
+        return tuple(tuple(int_dot(c, a) for a in simple) for c in covectors)
+
+    @functools.cached_property
     def simple_gram(self) -> Mat:
         """<alpha_i, alpha_j>_G over the simple roots (a symmetrized Cartan matrix)."""
+        scale = self.covector_scale * self.integer_roots[0]
         return tuple(
-            tuple(dot(c, a) for a in self.simple_roots) for c in self.simple_covectors
+            tuple(Fraction(g, scale) for g in row) for row in self._integer_simple_gram
         )
 
     @functools.cached_property
@@ -136,16 +159,44 @@ class RootSystem:
         return inverse(self.simple_gram)
 
     @functools.cached_property
+    def coefficient_covectors(self) -> tuple:
+        """(d, rows) with integer rows: the simple-root coefficients of the
+        part of x in the root span are <rows[i], x> / d.  Row i is d times the
+        covector of the vector dual to alpha_i, sum_j (G_s^-1)_ij G alpha_j."""
+        columns = tuple(zip(*self.simple_covectors))
+        inv = self.simple_gram_inverse
+        return cleared_rows(tuple(tuple(dot(row, c) for c in columns) for row in inv))
+
+    @functools.cached_property
     def cartan_matrix(self) -> tuple:
         """Row i holds the integers <alpha_j, alpha_i^v> = 2 <alpha_i, alpha_j>_G /
         <alpha_i, alpha_i>_G, so s_i(alpha_j) = alpha_j - cartan_matrix[i][j] alpha_i;
         ValueError if one is not an integer, since s_i then leaves the roots."""
-        rows = tuple(
-            tuple(2 * g / row[i] for g in row) for i, row in enumerate(self.simple_gram)
+        rows = []
+        for i, row in enumerate(self._integer_simple_gram):
+            pairs = [divmod(2 * g, row[i]) for g in row]
+            if any(r for _, r in pairs):
+                raise ValueError(
+                    "the roots are not closed under the simple reflections"
+                )
+            rows.append(tuple(q for q, _ in pairs))
+        return tuple(rows)
+
+    @functools.cached_property
+    def fundamental_coweights(self) -> tuple:
+        """Basis of span(simple roots) dual to the simple coroots.
+
+        The i-th coweight w_i satisfies <alpha_j, w_i>_G = 0 for j != i and
+        <alpha_i, w_i>_G = <alpha_i, alpha_i>_G / 2, i.e. the coroot pairing
+        <alpha_j^v, w_i> equals delta_ij: w_i = <alpha_i, alpha_i>_G / 2 times
+        sum_j (G_s^-1)_ij alpha_j.
+        """
+        columns = tuple(zip(*self.simple_roots))
+        rows = zip(self.simple_gram, self.simple_gram_inverse)
+        return tuple(
+            tuple(gram[i] / 2 * dot(row, c) for c in columns)
+            for i, (gram, row) in enumerate(rows)
         )
-        if any(a.denominator != 1 for row in rows for a in row):
-            raise ValueError("the roots are not closed under the simple reflections")
-        return tuple(tuple(int(a) for a in row) for row in rows)
 
     @functools.cached_property
     def positive_coefficients(self) -> tuple:
@@ -172,16 +223,18 @@ class RootSystem:
         the image of ``roots[k]``), or ValueError if the roots are not closed.
 
         In simple-root coefficients s_i only subtracts sum_j c_j <alpha_j, alpha_i^v>
-        from coefficient i.
+        from coefficient i.  Validation has checked that the coefficients are
+        integers, so the images are looked up in integers.
         """
-        coeffs = self.positive_coefficients
+        coeffs = tuple(tuple(map(int, c)) for c in self.positive_coefficients)
         n_pos = len(coeffs)
         negated = tuple(tuple(-t for t in c) for c in coeffs)
         where = {c: k for k, c in enumerate(coeffs + negated)}
         perms = []
         for i, cartan in enumerate(self.cartan_matrix):
             images = [
-                where.get(c[:i] + (c[i] - dot(c, cartan),) + c[i + 1:]) for c in coeffs
+                where.get(c[:i] + (c[i] - int_dot(c, cartan),) + c[i + 1:])
+                for c in coeffs
             ]
             if None in images:
                 raise ValueError("the roots are not closed under the simple reflections")
@@ -197,12 +250,6 @@ def pairing(rs: RootSystem, lam: Vec, v: Vec) -> Fraction:
             f"dimension mismatch: expected vectors of length {rs.ambient_dim}"
         )
     return dot(lam, matvec(rs.inner_product, v))
-
-
-def reflect(rs: RootSystem, index: int, v: Vec) -> Vec:
-    """Reflection in the index-th simple root a: v - 2 a(v) / <a, a>_G * a."""
-    c = 2 * dot(rs.simple_covectors[index], v) / rs.simple_gram[index][index]
-    return tuple(x - c * a for x, a in zip(v, rs.simple_roots[index], strict=True))
 
 
 def metric_covector(rs: RootSystem, v: Vec) -> Vec:
@@ -230,82 +277,39 @@ def share_closed_chamber(rs: RootSystem, x, y) -> bool:
             f"dimension mismatch: expected vectors of length {rs.ambient_dim}"
         )
     return all(
-        sum(map(operator.mul, c, xs)) * sum(map(operator.mul, c, ys)) >= 0
+        int_dot(c, xs) * int_dot(c, ys) >= 0
         for c in rs.integer_covectors
     )
 
 
+def simple_pairings(rs: RootSystem, x) -> list:
+    """alpha_i(x) for each simple root, times one common positive integer:
+    x's cleared numerators against ``integer_covectors``, so signs and zeros
+    are exact in integers."""
+    xs = cleared(x)[1]
+    if len(xs) != rs.ambient_dim:
+        raise ValueError(
+            f"dimension mismatch: expected vectors of length {rs.ambient_dim}"
+        )
+    return [int_dot(rs.integer_covectors[k], xs) for k in rs.simple_positions]
+
+
 def is_dominant(rs: RootSystem, x) -> bool:
-    xv = vec(x)
-    return all(dot(c, xv) >= 0 for c in rs.simple_covectors)
+    return all(p >= 0 for p in simple_pairings(rs, x))
 
 
 def wall_set(rs: RootSystem, x) -> frozenset:
     """Indices of the simple roots vanishing on a dominant x."""
-    xv = vec(x)
-    vals = [dot(c, xv) for c in rs.simple_covectors]
+    vals = simple_pairings(rs, x)
     if any(v < 0 for v in vals):
         raise ValueError("x is not dominant; apply weyl.to_dominant first")
     return frozenset(i for i, v in enumerate(vals) if v == 0)
 
 
-def simple_coefficients(rs: RootSystem, root) -> tuple:
-    """Coefficients of a root in the simple-root basis (exact)."""
-    r = vec(root)
-    a = tuple(
-        tuple(alpha[i] for alpha in rs.simple_roots) for i in range(rs.ambient_dim)
-    )
-    c = solve(a, r)
-    if c is None:
-        raise ValueError(f"{root!r} is not in the span of the simple roots")
-    return c
-
-
-def root_support(rs: RootSystem, root) -> frozenset:
-    """Indices of simple roots appearing in the root's expansion."""
-    return frozenset(i for i, c in enumerate(simple_coefficients(rs, root)) if c != 0)
-
-
 def fundamental_coweights(rs: RootSystem) -> tuple:
-    """Basis of span(simple roots) dual to the simple coroots.
-
-    The i-th coweight w_i satisfies <alpha_j, w_i>_G = 0 for j != i and
-    <alpha_i, w_i>_G = <alpha_i, alpha_i>_G / 2, i.e. the coroot pairing
-    <alpha_j^v, w_i> equals delta_ij.
-    """
-    coweights = []
-    for i, row in enumerate(rs.simple_gram_inverse):
-        scale = rs.simple_gram[i][i] / 2
-        w = (frac(0),) * rs.ambient_dim
-        for c, alpha in zip(row, rs.simple_roots):
-            w = vec_add(w, vec_scale(scale * c, alpha))
-        coweights.append(w)
-    return tuple(coweights)
-
-
-def dominant_with_walls(rs: RootSystem, wall_indices):
-    """A dominant integer vector whose wall set is exactly the given one.
-
-    For a proper subset S of the simple roots this is the primitive multiple
-    of the sum of the coweights off S.  For S equal to the full simple set a
-    nonzero vector orthogonal to every root is returned when the ambient
-    space is larger than the root span, and None otherwise (no such nonzero
-    vector exists).
-    """
-    walls = frozenset(int(i) for i in wall_indices)
-    if any(i < 0 or i >= rs.rank for i in walls):
-        raise ValueError("wall index out of range")
-    if len(walls) == rs.rank:
-        kernel = nullspace(rs.simple_covectors)
-        if not kernel:
-            return None
-        return vec(primitive(kernel[0]))
-    coweights = fundamental_coweights(rs)
-    x = (frac(0),) * rs.ambient_dim
-    for i in range(rs.rank):
-        if i not in walls:
-            x = vec_add(x, coweights[i])
-    return vec(primitive(x))
+    """The fundamental coweights of rs, computed once per root system (see
+    ``RootSystem.fundamental_coweights``)."""
+    return rs.fundamental_coweights
 
 
 def _validate(rs: RootSystem) -> RootSystem:
@@ -324,7 +328,7 @@ def _validate(rs: RootSystem) -> RootSystem:
         minor = tuple(tuple(g[i][j] for j in range(k)) for i in range(k))
         if det(minor) <= 0:
             raise ValueError("Gram matrix is not positive definite")
-    if rank(rs.simple_roots) != len(rs.simple_roots):
+    if len(echelon(cleared_rows(rs.simple_roots)[1])) != len(rs.simple_roots):
         raise ValueError("simple roots are not linearly independent")
     if len(rs.positive_multiplicities) != len(rs.positive_roots):
         raise ValueError("multiplicity table does not match the positive roots")

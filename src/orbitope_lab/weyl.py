@@ -13,14 +13,12 @@ orbits are listed in first-discovery order.
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .linalg import Mat, Vec, cleared, dot, matvec, vec
-from .rootsys import RootSystem, reflect
+from .linalg import Vec, cleared, int_dot, primitive, vec
+from .rootsys import RootSystem
 
 DEFAULT_ORDER_CAP = 51840
 
@@ -45,25 +43,28 @@ class WeylGroup:
         return len(self.perms)
 
 
-def simple_reflection(rs: RootSystem, index: int) -> Mat:
-    """Exact matrix of the reflection in the index-th simple root."""
-    alpha = rs.simple_roots[index]
-    galpha = rs.simple_covectors[index]
-    scale = 2 / rs.simple_gram[index][index]
-    n = rs.ambient_dim
-    return tuple(
-        tuple(int(a == b) - scale * alpha[a] * galpha[b] for b in range(n))
-        for a in range(n)
-    )
-
-
 def point_permutation(rs: RootSystem, index: int, points) -> tuple:
-    """How the index-th simple reflection permutes a point list, or ValueError."""
+    """How the index-th simple reflection permutes a list of integer points
+    (rational points cleared over one common denominator), or ValueError.
+
+    With c the root's row of ``rs.integer_covectors`` and a the primitive
+    integer multiple of the root, s(y) = y - 2 <c, y> / <c, a> * a.  As a is
+    primitive, the image is integral exactly when <c, a> divides 2 <c, y>;
+    otherwise it is no point of the list.
+    """
+    cov = rs.integer_covectors[rs.simple_positions[index]]
+    alpha = primitive(rs.simple_roots[index])
+    norm = int_dot(cov, alpha)
     where = {p: k for k, p in enumerate(points)}
-    image = tuple(where.get(reflect(rs, index, p)) for p in points)
+    image = []
+    for p in points:
+        t, r = divmod(2 * int_dot(cov, p), norm)
+        image.append(
+            None if r else where.get(tuple(x - t * a for x, a in zip(p, alpha)))
+        )
     if None in image:
         raise ValueError("the group does not preserve the point set")
-    return image
+    return tuple(image)
 
 
 def generate(rs: RootSystem, *, order_cap: int = DEFAULT_ORDER_CAP) -> WeylGroup:
@@ -114,36 +115,35 @@ def orbit(group: WeylGroup, x) -> tuple:
     """The exact orbit of x, in first-discovery (BFS element) order.
 
     x is sum_i c_i alpha_i plus a part orthogonal to the roots that the
-    group fixes, so w x is that part plus sum_i c_i w(alpha_i), with
-    w(alpha_i) read off w's permutation; sums run over scaled integers.
+    group fixes, so w x = x + sum_i c_i (w(alpha_i) - alpha_i), with
+    w(alpha_i) read off w's permutation.  The c_i come from x's cleared
+    numerators and ``rs.coefficient_covectors``, and the sums run over
+    ``rs.integer_roots``, all scaled to integers; only the returned points
+    are Fractions.
     """
     rs = group.root_system
-    xv = vec(x)
-    simples = rs.simple_roots
-    coeffs = matvec(
-        rs.simple_gram_inverse, tuple(dot(c, xv) for c in rs.simple_covectors)
-    )
-    fixed = [t - sum(c * a[j] for c, a in zip(coeffs, simples))
-             for j, t in enumerate(xv)]
-    roots = rs.roots
+    den, xs = cleared(x)
+    d, rows = rs.coefficient_covectors
+    r, roots = rs.integer_roots
+    # with scale = d * den * r: c is scale / r * c_i, and base is scale times
+    # x - sum_i c_i alpha_i
+    coeffs = [int_dot(v, xs) for v in rows]
     parts = [(k, c) for k, c in zip(rs.simple_positions, coeffs) if c]
-    scale = math.lcm(
-        *(t.denominator for t in fixed),
-        math.lcm(*(c.denominator for _, c in parts))
-        * math.lcm(*(t.denominator for r in roots for t in r)),
-    )
-    base = tuple(int(t * scale) for t in fixed)
+    base = tuple(d * r * t for t in xs)
+    for k, c in parts:
+        base = tuple(t - c * a for t, a in zip(base, roots[k]))
     # scaled c * root, filled in for the roots the group reaches
-    tables = [(k, c * scale, {}) for k, c in parts]
+    tables = [(k, c, {}) for k, c in parts]
     images = {}
     for perm in group.perms:
         y = base
         for k, c, table in tables:
             j = perm[k]
             if j not in table:
-                table[j] = tuple(int(c * t) for t in roots[j])
+                table[j] = tuple(c * t for t in roots[j])
             y = tuple(map(int.__add__, y, table[j]))
         images.setdefault(y, None)
+    scale = d * den * r
     return tuple(tuple(Fraction(t, scale) for t in y) for y in images)
 
 
@@ -176,7 +176,7 @@ def to_dominant(group: WeylGroup, x) -> DominantResult:
         )
     den, xs = cleared(xv)
     covectors = rs.integer_covectors
-    p = [sum(map(operator.mul, covectors[k], xs)) for k in rs.simple_positions]
+    p = [int_dot(covectors[k], xs) for k in rs.simple_positions]
     cartan = rs.cartan_matrix
     # BFS lists the generators right after the identity, in index order.
     gens = dict(zip(group.generator_indices, group.perms[1:]))

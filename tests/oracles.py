@@ -11,6 +11,12 @@ symmetric matrix model through the majorization characterization of
 diagonals, and the Haar mass near the model's vertices through a
 second-order expansion of the orbit map.  Agreement between these and the
 package is what the tests freeze.
+
+Some helpers build test data and are not oracles: ``simple_reflection``
+and ``reflect`` give exact reflections from the simple roots and the Gram
+matrix, ``matmul`` multiplies exact matrices, ``simple_coefficients``
+solves for a root's simple-root coefficients, and ``dominant_with_walls``
+picks a dominant point with a given wall set from the package's coweights.
 """
 
 import math
@@ -21,7 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from orbitope_lab.linalg import nullspace, primitive, solve, vec
 from orbitope_lab.polytope import PolytopeFace, RationalPolytope
+from orbitope_lab.rootsys import fundamental_coweights
 
 
 def _dot(u, v):
@@ -45,6 +53,67 @@ def _integers(values):
 
 def _int_matvec(m, v):
     return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
+
+
+def matmul(a, b):
+    """Product of exact matrices given as row tuples."""
+    return tuple(tuple(_dot(row, col) for col in zip(*b)) for row in a)
+
+
+def simple_coefficients(rs, root) -> tuple:
+    """Coefficients of a root in the simple-root basis (exact)."""
+    r = vec(root)
+    a = tuple(
+        tuple(alpha[i] for alpha in rs.simple_roots) for i in range(rs.ambient_dim)
+    )
+    c = solve(a, r)
+    if c is None:
+        raise ValueError(f"{root!r} is not in the span of the simple roots")
+    return c
+
+
+def simple_reflection(rs, index):
+    """Exact matrix of the reflection in the index-th simple root."""
+    alpha = rs.simple_roots[index]
+    galpha = _matvec(rs.inner_product, alpha)
+    scale = 2 / _dot(alpha, galpha)
+    n = len(alpha)
+    return tuple(
+        tuple(int(a == b) - scale * alpha[a] * galpha[b] for b in range(n))
+        for a in range(n)
+    )
+
+
+def reflect(rs, index, v):
+    """Reflection in the index-th simple root a: v - 2 a(v) / <a, a>_G * a."""
+    alpha = rs.simple_roots[index]
+    c = 2 * _pair(rs, alpha, v) / _pair(rs, alpha, alpha)
+    return tuple(x - c * a for x, a in zip(v, alpha, strict=True))
+
+
+def dominant_with_walls(rs, wall_indices):
+    """A dominant integer vector whose wall set is exactly the given one.
+
+    For a proper subset S of the simple roots this is the primitive multiple
+    of the sum of the coweights off S.  For S equal to the full simple set a
+    nonzero vector orthogonal to every root is returned when the ambient
+    space is larger than the root span, and None otherwise (no such nonzero
+    vector exists).
+    """
+    walls = frozenset(int(i) for i in wall_indices)
+    if any(i < 0 or i >= rs.rank for i in walls):
+        raise ValueError("wall index out of range")
+    if len(walls) == rs.rank:
+        kernel = nullspace(rs.simple_covectors)
+        if not kernel:
+            return None
+        return vec(primitive(kernel[0]))
+    coweights = fundamental_coweights(rs)
+    x = [Fraction(0)] * rs.ambient_dim
+    for i in range(rs.rank):
+        if i not in walls:
+            x = [a + b for a, b in zip(x, coweights[i])]
+    return vec(primitive(x))
 
 
 def dominant_by_pairings(rs, v) -> bool:
@@ -273,8 +342,9 @@ def _cross(rows):
     )
 
 
-def _rank(rows):
-    """Rank of rational rows, by Gaussian elimination over Fraction."""
+def rank(rows):
+    """Rank of rational rows, by Gaussian elimination over Fraction; 0 for
+    no rows."""
     rows = [[Fraction(c) for c in r] for r in rows]
     r = 0
     for j in range(len(rows[0]) if rows else 0):
@@ -311,7 +381,7 @@ def face_lattice_by_intersections(vertices, facets) -> tuple:
         ids = tuple(sorted(s))
         base = vertices[ids[0]]
         rows = [[a - b for a, b in zip(vertices[i], base)] for i in ids[1:]]
-        faces.append(PolytopeFace(ids, _rank(rows)))
+        faces.append(PolytopeFace(ids, rank(rows)))
     return tuple(sorted(faces, key=lambda f: (f.dim, f.vertex_indices)))
 
 

@@ -15,13 +15,17 @@ from fractions import Fraction
 import numpy as np
 from scipy.stats import gamma, special_ortho_group
 
-from oracles import matrix_group, share_chamber_by_enumeration, sym_vertex_mass
+from oracles import (
+    dominant_with_walls,
+    matrix_group,
+    share_chamber_by_enumeration,
+    sym_vertex_mass,
+)
 from orbitope_lab import facelab, matmodel
 from orbitope_lab import polytope as poly
 from orbitope_lab.cli import main
 from orbitope_lab.rootsys import (
     build_root_system,
-    dominant_with_walls,
     metric_covector,
     share_closed_chamber,
 )

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -417,3 +418,31 @@ def test_verify_model_corrupt_descriptor_fails_the_faces_stage(capsys):
     numeric = report["stages"][1]["report"]
     assert "faces" in numeric["failed_stages"]
     assert not numeric["stages"][2]["descriptors"][0]["passed"]
+
+
+# sha256 of a handful of exact reports, so that the suite checks that they
+# stay byte-identical; a change to one of them is a named report change.
+# Model reports are left out: their floats depend on the BLAS build.
+GOLDEN_REPORTS = (
+    ("verify --system B3 --coords weights --x 1,1,1", 0,
+     "56315611cc9a61f6292cadad6891f001028ad6fa87d2ef9168af0b9aae3308a7"),
+    # not full-dimensional: the orbit spans a hyperplane of R^4
+    ("verify --system A3 --coords weights --x 1,1,1", 0,
+     "f32ef664122c94912521668ad9b5f4d564020d8a73ba6617b5ffe4ec2dfdc97c"),
+    ("verify --system F4 --coords weights --x 1,0,0,0", 0,
+     "b5eddd79562aebfe49c40b81220ce2975b959c9172479014822ed2a676841324"),
+    ("verify --system G2 --coords weights --x 1,1", 0,
+     "0b858418fd949acacb5288ba6cc6f8d1f30244e0c2cabbd57de35157b833f938"),
+    ("verify --system C3 --coords weights --x 2,0,0 --corrupt-descriptor 0", 1,
+     "d541231feae65f1e84f35d4fc38490a2ac203b54249257f8a692d5c9481fbea0"),
+    ("polytope --system A3 --coords weights --x 1,1,1", 0,
+     "e6fa373010cb8e252d41748d3bf511fc65922b123b9992223f1d42799eb85d3f"),
+)
+
+
+@pytest.mark.parametrize(("argv", "status", "digest"), GOLDEN_REPORTS)
+def test_exact_reports_are_byte_identical(capsys, argv, status, digest):
+    assert main(argv.split()) == status
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest

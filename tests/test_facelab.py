@@ -8,11 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import dominant_with_walls, simple_reflection
 from orbitope_lab import cli, facelab
 from orbitope_lab import polytope as poly
 from orbitope_lab.rootsys import (
     build_root_system,
-    dominant_with_walls,
     fundamental_coweights,
     pairing,
 )
@@ -21,7 +21,6 @@ from orbitope_lab.weyl import (
     generate,
     generate_subgroup,
     orbit,
-    simple_reflection,
 )
 
 

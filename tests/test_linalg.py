@@ -1,24 +1,26 @@
 """Exact rational linear algebra helpers."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from oracles import matmul, rank
 from orbitope_lab.linalg import (
+    cleared_rows,
     det,
+    echelon,
     frac,
     identity,
-    independent_rows,
     inverse,
     mat,
-    matmul,
     matvec,
     nullspace,
     primitive,
-    rank,
     rref,
     solve,
+    transpose,
     vec,
 )
 
@@ -97,10 +99,41 @@ def test_primitive_scaling():
 
 
 def test_independent_rows_selects_basis():
-    a = mat([[1, 0, 0], [2, 0, 0], [0, 1, 0], [1, 1, 0]])
-    picked = independent_rows(a)
+    a = [[1, 0, 0], [2, 0, 0], [0, 1, 0], [1, 1, 0]]
+    picked = list(echelon(a))
     assert picked == [0, 2]
     sub = [a[i] for i in picked]
-    assert rank(sub) == rank(a)
-    # plain ints: the third row is the first minus the second
-    assert independent_rows([[3, 4, -8], [-1, 7, 6], [4, -3, -14]]) == [0, 1]
+    assert rank(mat(sub)) == rank(mat(a))
+    # the third row is the first minus the second
+    assert list(echelon([[3, 4, -8], [-1, 7, 6], [4, -3, -14]])) == [0, 1]
+
+
+def test_echelon_matches_the_pivot_columns():
+    """The rows kept are the pivot columns of the rows set side by side; the
+    reduced rows are primitive, span the same space, and each is zero at the
+    leading entries of the rows before it."""
+    rng = random.Random(5)
+    for _ in range(40):
+        n, m = rng.randint(1, 5), rng.randint(0, 6)
+        base = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        rows = [
+            [sum(rng.randint(-2, 2) * b[j] for b in base) for j in range(n)]
+            for _ in range(m)
+        ]
+        kept = echelon(rows)
+        assert list(kept) == (rref(transpose(mat(rows)))[1] if rows else [])
+        reduced = list(kept.values())
+        assert rank(mat(reduced)) == len(reduced) == (rank(mat(rows)) if rows else 0)
+        if reduced:
+            assert rank(mat(reduced + rows)) == len(reduced)
+        leads = []
+        for r in reduced:
+            assert math.gcd(*r) == 1
+            assert all(r[j] == 0 for j in leads)
+            leads.append(next(j for j, x in enumerate(r) if x))
+
+
+def test_cleared_rows_share_the_least_denominator():
+    rows = [(Fraction(1, 2), Fraction(2, 3)), (Fraction(-5, 4), Fraction(3))]
+    assert cleared_rows(rows) == (12, ((6, 8), (-15, 36)))
+    assert cleared_rows([(1, -2)]) == (1, ((1, -2),))

@@ -11,10 +11,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import face_lattice_by_intersections, hull_by_subsets, in_convex_hull
+from oracles import (
+    face_lattice_by_intersections,
+    hull_by_subsets,
+    in_convex_hull,
+    rank,
+)
 from orbitope_lab import polytope as poly
 from orbitope_lab.facelab import parabolic_subgroup
-from orbitope_lab.linalg import mat, nullspace, primitive, rank
+from orbitope_lab.linalg import mat, nullspace, primitive
 from orbitope_lab.rootsys import (
     build_root_system,
     fundamental_coweights,
@@ -292,14 +297,17 @@ def test_hull_matches_the_subset_oracle_on_benchmark_orbits(workload):
 
 @st.composite
 def point_sets(draw):
-    """Integer points in Z^d, d = 1-4, spanning an affine k-flat, k = 0-d:
-    the corners of a k-simplex and other points of Z^k, mapped into Z^d by
-    an injective integer map and a shift, with some points repeated."""
+    """Rational points in Q^d, d = 1-4, spanning an affine k-flat, k = 0-d:
+    the corners of a k-simplex and other points of Z^k, each divided by a
+    positive denominator of its own, mapped into Q^d by an injective integer
+    map and an integer shift, with some points repeated."""
     d = draw(st.integers(1, 4))
     k = draw(st.integers(0, d))
     small = st.integers(-3, 3)
     corners = [tuple(int(i == j) for j in range(k)) for i in range(-1, k)]
     base = corners + draw(st.lists(st.tuples(*[small] * k), max_size=6))
+    dens = draw(st.lists(st.integers(1, 4), min_size=len(base), max_size=len(base)))
+    base = [tuple(Fraction(c, q) for c in p) for p, q in zip(base, dens)]
     embed = draw(st.lists(st.tuples(*[small] * k), min_size=d, max_size=d))
     assume(rank(mat(embed)) == k)
     shift = draw(st.tuples(*[small] * d))
@@ -336,6 +344,31 @@ def test_hull_raises_exactly_past_its_face_budget(points, data):
             poly.hull(points, budget=budget)
     else:
         assert len(poly.hull(points, budget=budget).faces) == n
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(point_sets(), st.data())
+def test_support_matches_a_fraction_dot_oracle(points, data):
+    """support and exposed_face pair in integers; a Fraction dot product over
+    the vertices must find the same maximum and argmax.  A direction
+    orthogonal to the affine hull exposes the whole polytope."""
+    p = poly.hull(points)
+    coefficient = st.fractions(-5, 5, max_denominator=6)
+    beta = data.draw(st.tuples(*[coefficient] * p.ambient_dim))
+    orthogonal = [Fraction(0)] * p.ambient_dim
+    for normal in nullspace(mat(p.basis)) if p.basis else []:
+        c = data.draw(coefficient)
+        orthogonal = [a + c * b for a, b in zip(orthogonal, normal)]
+    for direction in (beta, orthogonal):
+        values = [sum(a * b for a, b in zip(direction, v)) for v in p.vertices]
+        top = max(values)
+        ids = tuple(i for i, value in enumerate(values) if value == top)
+        value, indices = poly.support(p, direction)
+        assert (type(value), value, indices) == (Fraction, top, ids)
+        assert poly.exposed_face(p, direction).vertex_indices == ids
+    improper = poly.exposed_face(p, orthogonal)
+    assert improper.vertex_indices == tuple(range(len(p.vertices)))
+    assert improper.dim == p.dim
 
 
 def regular_orbit_hull(label):

@@ -10,18 +10,20 @@ from hypothesis import strategies as st
 
 from oracles import (
     dominant_by_scan,
+    dominant_with_walls,
     image,
+    matmul,
     matrix_group,
     orbit_by_matrices,
     share_chamber_by_pairings,
+    simple_reflection,
     vertex_permutations_by_matrices,
 )
 from orbitope_lab import polytope as poly
-from orbitope_lab import rootsys, weyl
-from orbitope_lab.linalg import identity, matmul, matvec, transpose
+from orbitope_lab import weyl
+from orbitope_lab.linalg import cleared_rows, identity, matvec, transpose
 from orbitope_lab.rootsys import (
     build_root_system,
-    dominant_with_walls,
     is_dominant,
     share_closed_chamber,
 )
@@ -29,7 +31,6 @@ from orbitope_lab.weyl import (
     generate,
     generate_subgroup,
     orbit,
-    simple_reflection,
     to_dominant,
 )
 
@@ -102,17 +103,16 @@ def test_simple_reflections_are_isometric_involutions():
 
 def test_generate_reads_the_cached_root_permutations(monkeypatch):
     """Building a system permutes its roots; generating W reflects nothing."""
-    reflect = rootsys.reflect
+    permute = weyl.point_permutation
     calls = []
 
     def counting(*args):
         calls.append(args)
-        return reflect(*args)
+        return permute(*args)
 
     for spec, order in (("B3", 48), ("F4", 1152), (SKEW_G2, 12)):
         rs = build_root_system(spec)
-        monkeypatch.setattr(weyl, "reflect", counting)
-        monkeypatch.setattr(rootsys, "reflect", counting)
+        monkeypatch.setattr(weyl, "point_permutation", counting)
         assert weyl.generate(rs).order == order
         monkeypatch.undo()
     assert calls == []
@@ -244,6 +244,41 @@ def test_group_matches_matrix_oracle(spec):
             expected = vertex_permutations_by_matrices(oracle, p.vertices)
             assert poly.vertex_permutations(p, group) == expected
     assert hulls > 0
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.sampled_from(("A3", "B3", "C3", "D3", "BC3", "G2", "B4", "F4", SKEW_G2)),
+    st.lists(st.fractions(-6, 6, max_denominator=4), min_size=4, max_size=4),
+)
+def test_integer_letters_match_the_matrix_oracle(spec, coords):
+    """A simple reflection's letter, found on the orbit cleared to integers,
+    is how the oracle's reflection matrix permutes the orbit; dropping a
+    point that the group moves leaves a set some letter does not preserve."""
+    rs, group, oracle = groups(spec)
+    points = orbit_by_matrices(oracle, coords[: rs.ambient_dim])
+    ints = cleared_rows(points)[1]
+    where = {p: k for k, p in enumerate(points)}
+    for letter in range(rs.rank):
+        element = oracle.words.index((letter,))
+        expected = tuple(where[image(oracle, element, p)] for p in points)
+        assert weyl.point_permutation(rs, letter, ints) == expected
+    if len(points) > 1:
+        failures = 0
+        for letter in range(rs.rank):
+            try:
+                weyl.point_permutation(rs, letter, ints[1:])
+            except ValueError:
+                failures += 1
+        assert failures
+
+
+def test_integer_letter_off_the_lattice_is_refused():
+    # s_4 in F4 maps e_1 to (1/2, 1/2, 1/2, 1/2), off the integer points
+    rs = build_root_system("F4")
+    assert weyl.point_permutation(rs, 2, [(1, 0, 0, 0), (-1, 0, 0, 0)]) == (0, 1)
+    with pytest.raises(ValueError, match="does not preserve"):
+        weyl.point_permutation(rs, 3, [(1, 0, 0, 0)])
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
