@@ -291,9 +291,7 @@ def verify_bijection(
                     ),
                 }
             )
-        rep = min(
-            tuple(sorted(p[i] for i in exposed.vertex_indices)) for p in perms
-        )
+        rep = min(poly.face_orbit(exposed.vertex_indices, perms))
         record["orbit_representative"] = list(rep)
         record["orbit_size"] = rep_sizes.get(rep)
         hits.setdefault(rep, []).append(record["I"])

@@ -332,55 +332,56 @@ def face_lattice(polytope: RationalPolytope) -> tuple:
 
 
 def vertex_permutations(polytope: RationalPolytope, group) -> tuple:
-    """How each element of a Weyl group permutes the vertex indices.
+    """How the group's generators, the simple reflections, permute the
+    vertex indices.
 
-    ``perms[i][k]`` is the index of the image of vertex k under the i-th
-    element of ``group``.  Each simple reflection's permutation is found
-    once; element i is its BFS parent (its word less the last letter)
-    times that letter, so its permutation is the parent's composed with
-    the letter's by tuple indexing.  The letters act on the cleared
-    vertices, in integers.  Raises ValueError when the group does not map
-    the vertex set onto itself.
+    ``perms[i][k]`` is the index of the image of vertex k under the
+    reflection in simple root ``group.generator_indices[i]``.  The letters
+    act on the cleared vertices, in integers; they generate the group's
+    action, so :func:`faces_up_to_group` needs no other element.  Raises
+    ValueError when the group does not map the vertex set onto itself.
     """
     rs = group.root_system
     if rs.ambient_dim != polytope.ambient_dim:
         raise ValueError("the group and the polytope have different dimensions")
     ints = polytope.cleared_vertices[1]
-    letters = {i: weyl.point_permutation(rs, i, ints) for i in group.generator_indices}
-    index_of_word = {w: i for i, w in enumerate(group.words)}
-    perms = []
-    for word in group.words:
-        if not word:
-            perms.append(tuple(range(len(polytope.vertices))))
-            continue
-        parent = perms[index_of_word[word[:-1]]]
-        perms.append(tuple([parent[j] for j in letters[word[-1]]]))
-    return tuple(perms)
+    return tuple(weyl.point_permutation(rs, i, ints) for i in group.generator_indices)
+
+
+def face_orbit(vertex_indices, perms) -> list:
+    """The orbit of a face, given by its sorted vertex indices, under the
+    group that the letters ``perms`` generate: its images as sorted index
+    tuples, in breadth-first order from the face itself.
+    """
+    orbit = [vertex_indices]
+    seen = set(orbit)
+    for ids in orbit:
+        for perm in perms:
+            image = tuple(sorted([perm[i] for i in ids]))
+            if image not in seen:
+                seen.add(image)
+                orbit.append(image)
+    return orbit
 
 
 def faces_up_to_group(polytope: RationalPolytope, perms) -> tuple:
     """Orbit representatives of the proper faces under a group.
 
-    ``perms`` is the group's action on the vertex indices, as returned by
-    :func:`vertex_permutations`.  Returns (face, orbit_size) pairs, the
-    representative being the face whose sorted vertex-index tuple is
-    lexicographically least in its orbit, sorted by (dim, indices).
+    ``perms`` are the group's generators acting on the vertex indices, as
+    returned by :func:`vertex_permutations`.  Each orbit is searched
+    breadth-first under them from the first face of it met in (dim,
+    indices) order, which is its representative: the face whose sorted
+    vertex-index tuple is lexicographically least in its orbit.  Returns
+    (face, orbit_size) pairs in that order.
     """
-    faces = face_lattice(polytope)
-    proper = [f for f in faces if len(f.vertex_indices) < len(polytope.vertices)]
-    by_ids = {f.vertex_indices: f for f in faces}
     done = set()
     out = []
-    for f in proper:
-        if f.vertex_indices in done:
+    for f in face_lattice(polytope):
+        if f.vertex_indices in done or len(f.vertex_indices) == len(polytope.vertices):
             continue
-        images = {
-            tuple(sorted(p[i] for i in f.vertex_indices)) for p in perms
-        }
-        done |= images
-        rep = min(images)
-        out.append((by_ids[rep], len(images)))
-    out.sort(key=lambda pair: (pair[0].dim, pair[0].vertex_indices))
+        orbit = face_orbit(f.vertex_indices, perms)
+        done.update(orbit)
+        out.append((f, len(orbit)))
     return tuple(out)
 
 

@@ -6,11 +6,11 @@ lattices by closing the facets' vertex sets under intersection, convex-hull
 membership goes through a phase-one simplex over exact rationals, the
 reflection group is enumerated as exact matrices built from the simple
 roots and the Gram matrix alone (orbits, dominant representatives,
-vertex actions and chamber sharing are read off those matrices), the
-symmetric matrix model through the majorization characterization of
-diagonals, and the Haar mass near the model's vertices through a
-second-order expansion of the orbit map.  Agreement between these and the
-package is what the tests freeze.
+vertex actions, face orbits and chamber sharing are read off those
+matrices), the symmetric matrix model through the majorization
+characterization of diagonals, and the Haar mass near the model's
+vertices through a second-order expansion of the orbit map.  Agreement
+between these and the package is what the tests freeze.
 
 Some helpers build test data and are not oracles: ``simple_reflection``
 and ``reflect`` give exact reflections from the simple roots and the Gram
@@ -241,6 +241,29 @@ def vertex_permutations_by_matrices(group, vertices) -> tuple:
     table, c = _scaled_images(group, vertices)
     where = {tuple(int(Fraction(v) * c) for v in p): k for k, p in enumerate(vertices)}
     return tuple(tuple(where[y] for y in row) for row in table)
+
+
+def face_orbits_by_matrices(group, polytope) -> tuple:
+    """(face, orbit size) for each orbit of proper faces under every element.
+
+    Each element's vertex permutation comes from its matrix; a face's orbit
+    is the set of its sorted images, represented by the least of them.
+    Sorted by (dim, vertex indices).
+    """
+    perms = vertex_permutations_by_matrices(group, polytope.vertices)
+    by_ids = {f.vertex_indices: f for f in polytope.faces}
+    sizes = {}
+    done = set()
+    for f in polytope.faces:
+        if f.vertex_indices in done or len(f.vertex_indices) == len(polytope.vertices):
+            continue
+        images = {tuple(sorted(p[i] for i in f.vertex_indices)) for p in perms}
+        done |= images
+        sizes[min(images)] = len(images)
+    reps = sorted(
+        (by_ids[ids] for ids in sizes), key=lambda f: (f.dim, f.vertex_indices)
+    )
+    return tuple((f, sizes[f.vertex_indices]) for f in reps)
 
 
 def share_chamber_by_enumeration(group, x, y) -> bool:

@@ -96,6 +96,8 @@ def test_traced_verify_calls_each_stage_once():
     assert out["b2"]["polytope.hull.calls"] == 1
     assert out["b2"]["polytope.face_lattice.calls"] == 1
     assert out["b2"]["weyl.to_dominant.calls"] == 1
+    # the two simple reflections' letters on the octagon's 8 vertices
+    assert out["b2"]["polytope.vertex_images"] == 16
     # the local-max stage is one stacked call over its 100 pairs; x and
     # each pair's dominant point make 101 to_dominant calls, and each pair
     # one chamber test

@@ -437,6 +437,11 @@ GOLDEN_REPORTS = (
      "d541231feae65f1e84f35d4fc38490a2ac203b54249257f8a692d5c9481fbea0"),
     ("polytope --system A3 --coords weights --x 1,1,1", 0,
      "e6fa373010cb8e252d41748d3bf511fc65922b123b9992223f1d42799eb85d3f"),
+    # regular B4: |W| = 384 and 384 vertices
+    ("verify --system B4 --coords weights --x 1,1,1,1", 0,
+     "edd15bce7defb01ff527f045668464f55ce34defc167360f7a16773ce135c087"),
+    ("polytope --system D4 --coords weights --x 1,1,0,1", 0,
+     "269825ceba4c7510abee2eb570411083121cee8a3191bf3c28447b06b8d1e6ec"),
 )
 
 

@@ -245,6 +245,43 @@ def test_verify_bijection_detects_missing_descriptor():
     assert "count-mismatch" in kinds
 
 
+def test_verify_bijection_detects_improper_face_hit():
+    # beta = 0 is constant on the polytope, so it exposes all of it
+    rs, group = system("A2")
+    x = (2, 0, -2)
+    descriptors = list(facelab.classify_faces(rs, group, x))
+    descriptors[0] = dataclasses.replace(descriptors[0], beta=(0, 0, 0))
+    report = bijection(rs, group, x, descriptors)
+    assert not report.passed
+    hit = next(c for c in report.counterexamples if c["kind"] == "improper-face-hit")
+    assert hit == {
+        "kind": "improper-face-hit",
+        "orbit_representative": list(range(6)),
+        "descriptors": [sorted(i + 1 for i in descriptors[0].I)],
+    }
+    assert report.records[0]["orbit_size"] is None
+    assert "count-mismatch" not in {c["kind"] for c in report.counterexamples}
+
+
+def test_verify_bijection_detects_orbit_hit_twice():
+    rs, group = system("B2")
+    x = (2, 1)
+    descriptors = list(facelab.classify_faces(rs, group, x))
+    twice = descriptors[1]
+    report = bijection(rs, group, x, descriptors + [twice])
+    assert not report.passed
+    record = report.records[1]
+    assert report.records[-1] == record
+    kinds = [c["kind"] for c in report.counterexamples]
+    assert kinds == ["orbit-hit-twice", "count-mismatch"]
+    assert report.counterexamples[0] == {
+        "kind": "orbit-hit-twice",
+        "orbit_representative": record["orbit_representative"],
+        "descriptors": [record["I"], record["I"]],
+    }
+    assert record["orbit_size"] == 4
+
+
 def test_sigma_vertices_are_parabolic_orbit():
     rs, group = system("B3")
     x = (3, 2, 1)

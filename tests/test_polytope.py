@@ -242,7 +242,7 @@ def test_every_face_is_exposed_by_tight_normal_sum():
 def test_vertex_permutations_and_bad_group():
     rs, group, p = orbit_hull("A2", (2, 0, -2))
     perms = poly.vertex_permutations(p, group)
-    assert len(perms) == group.order
+    assert len(perms) == rs.rank
     for perm in perms:
         assert sorted(perm) == list(range(6))
     other = generate(build_root_system("B3"))

@@ -5,12 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     dominant_by_scan,
     dominant_with_walls,
+    face_orbits_by_matrices,
     image,
     matmul,
     matrix_group,
@@ -24,6 +25,7 @@ from orbitope_lab import weyl
 from orbitope_lab.linalg import cleared_rows, identity, matvec, transpose
 from orbitope_lab.rootsys import (
     build_root_system,
+    fundamental_coweights,
     is_dominant,
     share_closed_chamber,
 )
@@ -242,7 +244,10 @@ def test_group_matches_matrix_oracle(spec):
             hulls += 1
             p = poly.hull(images)
             expected = vertex_permutations_by_matrices(oracle, p.vertices)
-            assert poly.vertex_permutations(p, group) == expected
+            letters = poly.vertex_permutations(p, group)
+            assert letters == tuple(
+                expected[oracle.words.index((i,))] for i in group.generator_indices
+            )
     assert hulls > 0
 
 
@@ -271,6 +276,35 @@ def test_integer_letters_match_the_matrix_oracle(spec, coords):
             except ValueError:
                 failures += 1
         assert failures
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ("A3", "B3", "C3", "D3", "BC3", "G2", "B4", "F4", SKEW_G2),
+    ids=lambda s: s.split("\n")[0],
+)
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=4, max_size=4))
+@example([1, 1, 1, 0])  # regular in rank <= 3; A3's orbit spans a hyperplane
+def test_face_orbits_match_the_whole_group_oracle(spec, coeffs):
+    """The letters' orbit search finds the representatives and sizes that
+    the least image over every element's vertex permutation gives."""
+    rs, group, oracle = groups(spec)
+    coeffs = coeffs[: rs.rank]
+    if rs.rank == 4:  # one coweight keeps the B4 and F4 orbits small
+        top = coeffs.index(max(coeffs))
+        coeffs = [c if i == top else 0 for i, c in enumerate(coeffs)]
+    assume(any(coeffs))
+    x = [Fraction(0)] * rs.ambient_dim
+    for c, w in zip(coeffs, fundamental_coweights(rs)):
+        x = [a + c * b for a, b in zip(x, w)]
+    points = orbit(group, x)
+    assume(len(points) <= 48)  # F4's two middle coweights have 96
+    p = poly.hull(points)
+    orbits = poly.faces_up_to_group(p, poly.vertex_permutations(p, group))
+    assert orbits == face_orbits_by_matrices(oracle, p)
+    assert all(group.order % size == 0 for _, size in orbits)
+    assert sum(size for _, size in orbits) == len(p.faces) - 1
 
 
 def test_integer_letter_off_the_lattice_is_refused():
