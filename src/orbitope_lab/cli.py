@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import re
 import sys
 from fractions import Fraction
@@ -239,20 +240,15 @@ def cmd_verify(args) -> tuple[int, dict]:
         }
     ]
     if model is not None:
-        try:
-            numeric = matmodel.verification_report(
-                model,
-                dom.vector,
-                args.n_samples,
-                args.seed,
-                group=group,
-                orbit_polytope=hull,
-                descriptors=descriptors,
-            )
-        except OverflowError:
-            raise CliError(
-                f"--x {args.x} is out of the float range of the matrix model"
-            ) from None
+        numeric = matmodel.verification_report(
+            model,
+            dom.vector,
+            args.n_samples,
+            args.seed,
+            group=group,
+            orbit_polytope=hull,
+            descriptors=descriptors,
+        )
         stages.append({"name": "model", "passed": numeric["passed"], "report": numeric})
     passed = all(stage["passed"] for stage in stages)
     first = None
@@ -320,7 +316,9 @@ def render_report(report: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="orbitope-lab",
         description=(
@@ -376,8 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.seed < 0:
             raise CliError(f"--seed must be a nonnegative integer, got {args.seed}")

@@ -25,6 +25,7 @@ matching, 1e-8 for rank cutoffs.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,10 +36,11 @@ import numpy as np
 
 from . import polytope as poly
 from .facelab import FaceDescriptor
-from .linalg import Mat, Vec, dot, frac, inverse, matvec, nullspace, transpose, vec
+from .linalg import Mat, Vec, cleared, dot, frac, inverse, matvec, nullspace, transpose, vec
 from .rootsys import (
     RootSystem,
     build_root_system,
+    check_root_count,
     is_dominant,
     make_root_system,
     metric_covector,
@@ -94,10 +96,6 @@ class ExtDimResult(NamedTuple):
     predicted_dim: int
 
 
-def _half(v):
-    return tuple(Fraction(c, 2) for c in v)
-
-
 def _skew_root_system(n: int) -> RootSystem:
     """Restricted root system of the skew model on n x n matrices.
 
@@ -109,30 +107,21 @@ def _skew_root_system(n: int) -> RootSystem:
     centralizer of the Cartan is the m-torus of block rotations.
     """
     m = n // 2
-    e = [tuple(Fraction(1 if k == i else 0) for k in range(m)) for i in range(m)]
 
-    def diff(i, j):
-        return tuple(e[i][k] - e[j][k] for k in range(m))
+    def half(i, j=None, sign=1):
+        """(e_i + sign e_j) / 2, or e_i / 2 without j."""
+        return tuple(Fraction((k == i) + sign * (k == j), 2) for k in range(m))
 
-    def add(i, j):
-        return tuple(e[i][k] + e[j][k] for k in range(m))
-
-    positives = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            positives.append(_half(diff(i, j)))
-            positives.append(_half(add(i, j)))
+    positives = [
+        half(i, j, sign) for i in range(m) for j in range(i + 1, m) for sign in (-1, 1)
+    ]
+    simples = [half(i, i + 1, -1) for i in range(m - 1)]
     if n % 2 == 1:
-        for i in range(m):
-            positives.append(_half(e[i]))
-        simples = [_half(diff(i, i + 1)) for i in range(m - 1)]
-        simples.append(_half(e[m - 1]))
+        positives += [half(i) for i in range(m)]
+        simples.append(half(m - 1))
     else:
-        simples = [_half(diff(i, i + 1)) for i in range(m - 1)]
-        simples.append(_half(add(m - 2, m - 1)))
-    gram = tuple(
-        tuple(Fraction(2 if a == b else 0) for b in range(m)) for a in range(m)
-    )
+        simples.append(half(m - 2, m - 1))
+    gram = tuple(tuple(Fraction(2 * (a == b)) for b in range(m)) for a in range(m))
     return make_root_system(
         simples,
         positives,
@@ -160,6 +149,8 @@ def make_model(kind: str, n: int) -> MatrixModel:
             raise ValueError(
                 "the skew model needs n >= 3; so(2) acts trivially on itself"
             )
+        m = n // 2
+        check_root_count(f"skew{n}", m * (m - 1) + m * (n % 2))
         return MatrixModel(kind="skew", n=n, root_system=_skew_root_system(n))
     raise ValueError(f"unknown model kind {kind!r}; expected 'sym' or 'skew'")
 
@@ -383,7 +374,11 @@ class _FloatGeometry(NamedTuple):
 
 
 def _float_geometry(polytope_: poly.RationalPolytope) -> _FloatGeometry:
-    """Float facets, and the projector onto the affine hull's direction."""
+    """Float facets, and the projector onto the affine hull's direction.
+
+    Each facet goes by its primitive integer normal, its offset divided by
+    the same factor: ``hull``'s normals grow with the points' denominators.
+    """
     d = polytope_.ambient_dim
     origin = np.array([float(c) for c in polytope_.origin])
     if polytope_.dim == d:
@@ -395,14 +390,18 @@ def _float_geometry(polytope_: poly.RationalPolytope) -> _FloatGeometry:
             [[float(c) for c in row] for row in polytope_.basis]
         )
         inplane = basis.T @ np.linalg.inv(basis @ basis.T) @ basis
-    normals = np.array(
-        [[float(c) for c in nu] for nu, _ in polytope_.facets]
-    ).reshape(len(polytope_.facets), d)
+    normals, offsets = [], []
+    for nu, c0 in polytope_.facets:
+        den, ints = cleared(nu)
+        g = math.gcd(*ints)
+        normals.append([float(c // g) for c in ints])
+        offsets.append(float(c0 * den / g))
+    normals = np.array(normals).reshape(len(offsets), d)
     return _FloatGeometry(
         origin=origin,
         inplane=inplane,
         normals=normals,
-        offsets=np.array([float(c0) for _, c0 in polytope_.facets]),
+        offsets=np.array(offsets),
         norms=np.linalg.norm(normals, axis=1),
     )
 
@@ -791,8 +790,7 @@ def ext_face_dim_check(
         xi = spaces.basis_mats[b]
         columns.append((xi @ base - base @ xi).reshape(-1))
     singular = np.linalg.svd(np.stack(columns, axis=1), compute_uv=False)
-    scale = float(np.linalg.norm(base))
-    numeric = int(np.sum(singular > RANK_TOL * max(scale, 1e-300)))
+    numeric = int(np.sum(singular > RANK_TOL * float(np.linalg.norm(base))))
     return ExtDimResult(numeric_dim=numeric, predicted_dim=descriptor.dim_extF)
 
 
@@ -816,19 +814,6 @@ def _random_cartan_vector(rng, model: MatrixModel) -> Vec:
     return vec(raw)
 
 
-def _finite(value) -> bool:
-    """Whether every float in a nested report value is finite."""
-    if isinstance(value, float):
-        return math.isfinite(value)
-    if isinstance(value, dict):
-        return all(_finite(v) for v in value.values())
-    if isinstance(value, (list, tuple)):
-        return all(_finite(v) for v in value)
-    return True
-
-
-# Out-of-range results are rejected as a whole at the end, not warned about.
-@np.errstate(all="ignore")
 def verification_report(
     model: MatrixModel,
     x_cartan,
@@ -869,41 +854,62 @@ def verification_report(
 
     Every stage records a ``passed`` flag; the report passes when all do.
     The report is fully determined by (model, x, n_samples, seed) and the
-    stage sizes, so it is reproducible byte for byte.  OverflowError when
-    x leaves the float range: a nonzero x whose float norm underflows to
-    zero, or one that makes a reported value infinite or NaN.
+    stage sizes, so it is reproducible byte for byte.  The stages run at
+    unit scale, since conv(W tx) = t conv(W x) has the faces of conv(W x):
+    with 2^e <= max |x_i| < 2^(e+1), x, the orbit polytope and each
+    descriptor's sigma_vertices are multiplied by 2^-e once, exactly, and
+    |x| above is the norm of 2^-e x.  The report keeps x and gives e as
+    ``scale_exponent``.
     """
-    x = vec(x_cartan)
+    x_exact = vec(x_cartan)
+    top = max((abs(c) for c in x_exact), default=0) or Fraction(1)
+    e = top.numerator.bit_length() - top.denominator.bit_length()
+    if top < Fraction(2) ** e:
+        e -= 1
+    unit = Fraction(2) ** -e
+
+    def rescale(v):
+        return tuple(unit * c for c in v)
+
+    x = rescale(x_exact)
+    orbit_polytope = dataclasses.replace(
+        orbit_polytope,
+        vertices=tuple(map(rescale, orbit_polytope.vertices)),
+        facets=tuple((nu, unit * c0) for nu, c0 in orbit_polytope.facets),
+        origin=rescale(orbit_polytope.origin),
+        basis=tuple(map(rescale, orbit_polytope.basis)),
+    )
+    descriptors = [
+        dataclasses.replace(d, sigma_vertices=tuple(map(rescale, d.sigma_vertices)))
+        for d in descriptors
+    ]
     x_norm = math.sqrt(sum(float(c) ** 2 for c in x))
-    if x_norm == 0 and any(x):
-        raise OverflowError("the float norm of a nonzero x underflows to zero")
+    violation_tol = VIOLATION_TOL * x_norm
     sample = sample_orbit(
         model, x, n_samples, seed, forced_cartan_points=orbit_polytope.vertices
     )
     stages = []
 
     deviation = spectrum_deviation(sample)
-    spectrum_tol = VIOLATION_TOL * x_norm
     stages.append(
         {
             "name": "spectrum",
-            "passed": bool(deviation <= spectrum_tol),
+            "passed": bool(deviation <= violation_tol),
             "max_deviation": float(deviation),
-            "tolerance": float(spectrum_tol),
+            "tolerance": float(violation_tol),
         }
     )
 
     kostant = kostant_check(sample, orbit_polytope)
     loose_tol = 1e-3 * x_norm
     loose_covered = sum(1 for d in kostant["vertex_distances"] if d <= loose_tol)
-    membership_tol = VIOLATION_TOL * x_norm
     stages.append(
         {
             "name": "kostant",
-            "passed": bool(kostant["max_violation"] <= membership_tol),
+            "passed": bool(kostant["max_violation"] <= violation_tol),
             "max_facet_violation": kostant["max_facet_violation"],
             "max_affine_residual": kostant["max_affine_residual"],
-            "tolerance": float(membership_tol),
+            "tolerance": float(violation_tol),
             "coverage_matching": kostant["coverage"],
             "coverage_loose": loose_covered / len(orbit_polytope.vertices),
             "loose_tolerance": float(loose_tol),
@@ -918,7 +924,7 @@ def verification_report(
         factor = _face_distance_factor(
             model.root_system, orbit_polytope.vertices, d.beta
         )
-        face_tol = max(1.0, factor) * MATCH_TOL * x_norm * b_norm + membership_tol
+        face_tol = max(1.0, factor) * MATCH_TOL * x_norm * b_norm + violation_tol
         sub = poly.hull([vec(v) for v in d.sigma_vertices])
         geom = _float_geometry(sub)
         arg = argmax_height(sample, d.beta)
@@ -951,21 +957,18 @@ def verification_report(
     for k in range(n_pairs):
         xd = _dominant_integer_vector(rng, model, group)
         pairs.append((xd, _random_cartan_vector(rng, model), k))
-    agreements = 0
-    disagreements = []
     records = local_max_test(model, pairs, n_directions=n_directions)
-    for (xd, beta, _), rec in zip(pairs, records):
-        if rec["agree"]:
-            agreements += 1
-        else:
-            disagreements.append(
-                {
-                    "x": list(xd),
-                    "beta": list(beta),
-                    "chamber": rec["chamber"],
-                    "max_second_derivative": rec["max_second_derivative"],
-                }
-            )
+    disagreements = [
+        {
+            "x": list(xd),
+            "beta": list(beta),
+            "chamber": rec["chamber"],
+            "max_second_derivative": rec["max_second_derivative"],
+        }
+        for (xd, beta, _), rec in zip(pairs, records)
+        if not rec["agree"]
+    ]
+    agreements = n_pairs - len(disagreements)
     stages.append(
         {
             "name": "local-max-agreement",
@@ -997,13 +1000,12 @@ def verification_report(
         {"name": "hessian", "passed": hessian_passed, "checks": hessian_records}
     )
 
-    if not _finite(stages):
-        raise OverflowError("a stage value of x leaves the float range")
     overall = all(stage["passed"] for stage in stages)
     failed = [stage["name"] for stage in stages if not stage["passed"]]
     return {
         "model": model.kind + str(model.n),
-        "x": list(x),
+        "x": list(x_exact),
+        "scale_exponent": e,
         "n_samples": n_samples,
         "seed": seed,
         "passed": overall,

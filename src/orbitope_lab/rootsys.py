@@ -372,7 +372,7 @@ def make_root_system(
     ``positive_roots``.
     """
     positives = tuple(vec(r) for r in positive_roots)
-    _check_root_count(label, len(positives))
+    check_root_count(label, len(positives))
     simples = tuple(vec(r) for r in simple_roots)
     d = len(simples[0]) if simples else 0
     if multiplicities is None:
@@ -393,7 +393,8 @@ def make_root_system(
     )
 
 
-def _check_root_count(label: str, count: int) -> None:
+def check_root_count(label: str, count: int) -> None:
+    """ValueError when ``count`` positive roots are past MAX_POSITIVE_ROOTS."""
     if count > MAX_POSITIVE_ROOTS:
         raise ValueError(
             f"root system {label} has {count} positive roots, past the cap "
@@ -450,7 +451,7 @@ def _catalog(label: str) -> RootSystem:
         "A": n * (n + 1) // 2, "B": n * n, "C": n * n, "D": n * (n - 1),
         "BC": n * (n + 1),
     }
-    _check_root_count(label, counts[family])
+    check_root_count(label, counts[family])
     if family == "A":
         amb = n + 1
         simples = tuple(vec_sub_pair(_e(i, amb), _e(i + 1, amb), -1) for i in range(n))

@@ -345,24 +345,32 @@ def test_nonpositive_counts_are_clean_errors(capsys, flag, value):
     assert err == f"error: {flag} must be a positive integer, got {value}\n"
 
 
+def assert_model_passes(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["stages"][1]["report"]["failed_stages"] == []
+
+
+# The stages run at unit scale, so an x far outside the float range passes
+# like any other; these x were once refused with a float-range error.
 @pytest.mark.parametrize(
     "model, x",
     [("sym2", "1e400,-1e400"), ("sym3", "1e200,0,-1e200"), ("skew5", "1e400,-1e400")],
 )
 def test_model_x_out_of_float_range_is_a_clean_error(capsys, model, x):
-    err = error_message(capsys, ["verify", "--model", model, "--x", x])
-    assert err == f"error: --x {x} is out of the float range of the matrix model\n"
+    assert_model_passes(capsys, ["verify", "--model", model, "--x", x])
 
 
 @pytest.mark.parametrize(
     "model, x", [("sym2", "1e150,-1e150"), ("skew5", "2e105,1e105")]
 )
 def test_model_x_overflowing_a_stage_is_a_clean_error(capsys, model, x):
-    # x itself is a float, but the Hessian stage's values overflow
-    err = error_message(
+    # x itself is a float, but at this scale the Hessian stage's values
+    # would overflow
+    assert_model_passes(
         capsys, ["verify", "--model", model, "--x", x, "--n-samples", "200"]
     )
-    assert err == f"error: --x {x} is out of the float range of the matrix model\n"
 
 
 @pytest.mark.parametrize(
@@ -370,12 +378,35 @@ def test_model_x_overflowing_a_stage_is_a_clean_error(capsys, model, x):
     [("sym2", "1e-400,-1e-400"), ("sym3", "2e-170,0,-2e-170"), ("skew5", "2e-200,1e-200")],
 )
 def test_model_x_underflowing_is_a_clean_error(capsys, model, x):
-    # the float norm of x is zero: before, a singular Gram matrix or a
-    # division by zero
-    err = error_message(
+    # at this scale the float norm of x would be zero
+    assert_model_passes(
         capsys, ["verify", "--model", model, "--x", x, "--n-samples", "200"]
     )
-    assert err == f"error: --x {x} is out of the float range of the matrix model\n"
+
+
+def test_model_x_at_1e_minus_120_passes_the_hessian_stage(capsys):
+    # at this scale lambda(x) |[x, xi]|^2 underflowed in the closed form
+    assert_model_passes(capsys, ["verify", "--model", "sym2", "--x", "1e-120,-1e-120"])
+
+
+def test_oversized_skew_model_is_refused_before_it_is_built(capsys):
+    # skew100000 would have 2,499,950,000 roots of (e_i +- e_j) / 2
+    err = error_message(capsys, ["verify", "--model", "skew100000", "--x", "1"])
+    assert err == (
+        "error: root system skew100000 has 2499950000 positive roots, "
+        "past the cap of 64\n"
+    )
+
+
+def test_one_process_runs_a_corrupt_verify_then_a_clean_one(capsys):
+    # the parser is built once per process: no flag of one call carries over
+    argv = ["verify", "--system", "A2", "--coords", "weights", "--x", "1,1"]
+    assert main(argv + ["--corrupt-descriptor", "0"]) == 1
+    capsys.readouterr()
+    status, report = run_json(capsys, argv)
+    assert status == 0
+    assert report["passed"]
+    assert report["first_counterexample"] is None
 
 
 @pytest.mark.parametrize("label", ["a4", "d4"])
@@ -407,8 +438,9 @@ def test_verify_sym3_edge_face_passes_at_seed_42(capsys):
     assert faces["passed"]
     edge = next(rec for rec in faces["descriptors"] if rec["I"] == [2])
     assert edge["distance_factor"] == pytest.approx(2**0.5, rel=1e-12)
-    # beyond the height window 1e-6 |x| |beta| = 2e-6 that used to be the tolerance
-    assert edge["max_face_distance"] > 2e-6
+    # at unit scale, |x| = sqrt(6)/2 and |beta| = sqrt(6)/3: beyond the
+    # height window 1e-6 |x| |beta| = 1e-6 that used to be the tolerance
+    assert edge["max_face_distance"] > 1e-6
     assert edge["face_margin"] < 1.0
 
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
 from oracles import majorized_by
@@ -796,7 +798,8 @@ def faces_stage(model, x, hull, group, descriptors, seed):
 def test_face_tolerance_is_never_below_the_height_window():
     model, rs, group, x, hull, descriptors = model_context("sym", 3, (1, 1, -2))
     stage = faces_stage(model, x, hull, group, descriptors, 42)
-    x_norm = math.sqrt(6.0)
+    # the stages run at unit scale: max |x_i| = 2, so they see x / 2
+    x_norm = math.sqrt(6.0) / 2
     for d, rec in zip(descriptors, stage["descriptors"], strict=True):
         window = 1e-6 * x_norm * math.sqrt(sum(float(c) ** 2 for c in d.beta))
         assert rec["face_tolerance"] == pytest.approx(
@@ -827,3 +830,41 @@ def test_faces_stage_catches_a_swapped_sigma_vertex():
         k != edge for k in range(len(descriptors))
     ]
     assert stage["descriptors"][edge]["face_margin"] > 1e3
+
+
+# one model of each kind, with a base point moved by its group
+SCALE_MODELS = (("sym", 2, (1, -1)), ("sym", 3, (2, 0, -2)), ("skew", 5, (2, 1)))
+
+
+def small_report(kind, n, x):
+    model, rs, group, xd, hull, descriptors = model_context(kind, n, x)
+    return matmodel.verification_report(
+        model, xd, 200, 42, group=group, orbit_polytope=hull,
+        descriptors=descriptors, n_pairs=2, n_directions=10, hessian_trials=5,
+    )
+
+
+@pytest.mark.parametrize("k", [-400, -150, -120, 0, 120, 400])
+@pytest.mark.parametrize(("kind", "n", "base"), SCALE_MODELS)
+def test_models_pass_at_every_scale(kind, n, base, k):
+    x = tuple(Fraction(10) ** k * c for c in base)
+    rep = small_report(kind, n, x)
+    assert rep["passed"], rep["failed_stages"]
+    e = rep["scale_exponent"]
+    assert Fraction(2) ** e <= max(abs(Fraction(c)) for c in rep["x"]) < Fraction(2) ** (e + 1)
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(st.sampled_from(SCALE_MODELS), st.data())
+def test_stages_do_not_see_a_power_of_two_scale(spec, data):
+    kind, n, _ = spec
+    dim = matmodel.make_model(kind, n).root_system.ambient_dim
+    raw = data.draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+    if kind == "sym":
+        raw = [n * c - sum(raw) for c in raw]
+    assume(any(raw))
+    rep = small_report(kind, n, raw)
+    for k in (-1100, -1, 1, 1100):
+        scaled = small_report(kind, n, [Fraction(2) ** k * c for c in raw])
+        assert scaled["scale_exponent"] == rep["scale_exponent"] + k
+        assert scaled["stages"] == rep["stages"]
