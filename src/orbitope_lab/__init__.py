@@ -47,13 +47,12 @@ from .polytope import (
 from .rootsys import (
     RootSystem,
     build_root_system,
-    fundamental_coweights,
     is_dominant,
     pairing,
     share_closed_chamber,
     wall_set,
 )
-from .weyl import WeylGroup, generate, generate_subgroup, orbit, to_dominant
+from .weyl import WeylGroup, generate, orbit, to_dominant
 
 __version__ = "0.1.0"
 
@@ -76,9 +75,7 @@ __all__ = [
     "face_lattice",
     "faces_up_to_group",
     "facelab",
-    "fundamental_coweights",
     "generate",
-    "generate_subgroup",
     "hessian_check",
     "hessian_closed_form",
     "hessian_fd",

@@ -81,7 +81,7 @@ def _resolve_x(args, rs: rootsys.RootSystem) -> tuple:
             raise CliError(
                 f"weight coordinates need {rs.rank} entries, got {len(coords)}"
             )
-        coweights = rootsys.fundamental_coweights(rs)
+        coweights = rs.fundamental_coweights
         x = [Fraction(0)] * rs.ambient_dim
         for c, w in zip(coords, coweights):
             for i, wi in enumerate(w):

@@ -24,7 +24,6 @@ from . import weyl
 from .linalg import Vec, cleared, cleared_rows, echelon, int_dot, vec, vec_add, zeros
 from .rootsys import (
     RootSystem,
-    fundamental_coweights,
     is_dominant,
     metric_covector,
     simple_pairings,
@@ -148,7 +147,7 @@ def canonical_beta(rs: RootSystem, subset_j) -> Vec:
     is returned (the normal of the improper face).
     """
     walls = _check_subset(rs, subset_j)
-    coweights = fundamental_coweights(rs)
+    coweights = rs.fundamental_coweights
     beta = zeros(rs.ambient_dim)
     for i in range(rs.rank):
         if i not in walls:
@@ -162,25 +161,11 @@ def canonical_beta(rs: RootSystem, subset_j) -> Vec:
 
 
 def parabolic_subgroup(group: weyl.WeylGroup, subset_j) -> weyl.WeylGroup:
-    """The subgroup generated by the reflections in J, in BFS order.
-
-    Uses the fact that an element lies in the parabolic subgroup exactly
-    when its reduced word only uses letters from J; the stored words are
-    geodesic, hence reduced.  The kept elements stay in BFS order with
-    their words, as ``weyl.generate_subgroup`` would list them.
-    """
-    walls = frozenset(int(i) for i in subset_j)
-    kept = [
-        (perm, word)
-        for perm, word in zip(group.perms, group.words)
-        if walls.issuperset(word)
-    ]
-    return weyl.WeylGroup(
-        root_system=group.root_system,
-        generator_indices=tuple(sorted(walls)),
-        perms=tuple(perm for perm, _ in kept),
-        words=tuple(word for _, word in kept),
-    )
+    """The subgroup W_J generated by the group's reflections in J."""
+    walls = _check_subset(group.root_system, subset_j)
+    if not walls.issubset(group.generator_indices):
+        raise ValueError("subset contains an index outside the group's generators")
+    return weyl.WeylGroup(group.root_system, tuple(sorted(walls)))
 
 
 def classify_faces(rs: RootSystem, group: weyl.WeylGroup, x) -> tuple:

@@ -12,11 +12,11 @@ other module reads it from there: ``roots`` and their cleared integer form
 ``lambda(v)`` is one plain dot product), their common integer multiple
 ``integer_covectors`` for sign tests, ``simple_positions``, the simple-root
 Gram matrix, its inverse, the Cartan matrix, the fundamental coweights and
-the integer rows ``coefficient_covectors`` that read off simple-root
-coefficients.  The covectors, the simple-root Gram matrix and the Cartan
-matrix are computed in integers from the cleared roots and Gram matrix.  This module is the only one that multiplies by the Gram
-matrix; ``pairing`` and ``metric_covector`` do it for vectors that are not
-roots.
+the integer rows ``simple_steps`` by which a simple reflection moves a
+point.  The covectors, the simple-root Gram matrix and the Cartan matrix
+are computed in integers from the cleared roots and Gram matrix.  This
+module is the only one that multiplies by the Gram matrix; ``pairing`` and
+``metric_covector`` do it for vectors that are not roots.
 
 Built-in catalog (all with the plain dot product, multiplicity 1):
 
@@ -135,11 +135,6 @@ class RootSystem:
         return tuple(self.positive_roots.index(a) for a in self.simple_roots)
 
     @functools.cached_property
-    def simple_covectors(self) -> tuple:
-        """G alpha_i for each simple root, in order."""
-        return tuple(self.covectors[k] for k in self.simple_positions)
-
-    @functools.cached_property
     def _integer_simple_gram(self) -> tuple:
         """covector_scale * r * <alpha_i, alpha_j>_G, r the roots' denominator."""
         simple = [self.integer_roots[1][k] for k in self.simple_positions]
@@ -159,13 +154,20 @@ class RootSystem:
         return inverse(self.simple_gram)
 
     @functools.cached_property
-    def coefficient_covectors(self) -> tuple:
-        """(d, rows) with integer rows: the simple-root coefficients of the
-        part of x in the root span are <rows[i], x> / d.  Row i is d times the
-        covector of the vector dual to alpha_i, sum_j (G_s^-1)_ij G alpha_j."""
-        columns = tuple(zip(*self.simple_covectors))
-        inv = self.simple_gram_inverse
-        return cleared_rows(tuple(tuple(dot(row, c) for c in columns) for row in inv))
+    def simple_steps(self) -> tuple:
+        """(d, rows) with integer rows: reflecting in alpha_i moves a point's
+        cleared numerators by -p_i rows[i] / d, where p_i is their pairing
+        with alpha_i against ``integer_covectors``.
+
+        s_i(y) = y - 2 <alpha_i, y>_G / <alpha_i, alpha_i>_G alpha_i; in those
+        scales the step per unit of p_i is 2 (r alpha_i) / g_ii, with g the
+        ``_integer_simple_gram`` and r alpha_i the cleared root."""
+        roots = self.integer_roots[1]
+        gram = self._integer_simple_gram
+        return cleared_rows(tuple(
+            tuple(Fraction(2 * a, gram[i][i]) for a in roots[k])
+            for i, k in enumerate(self.simple_positions)
+        ))
 
     @functools.cached_property
     def cartan_matrix(self) -> tuple:
@@ -304,12 +306,6 @@ def wall_set(rs: RootSystem, x) -> frozenset:
     if any(v < 0 for v in vals):
         raise ValueError("x is not dominant; apply weyl.to_dominant first")
     return frozenset(i for i, v in enumerate(vals) if v == 0)
-
-
-def fundamental_coweights(rs: RootSystem) -> tuple:
-    """The fundamental coweights of rs, computed once per root system (see
-    ``RootSystem.fundamental_coweights``)."""
-    return rs.fundamental_coweights
 
 
 def _validate(rs: RootSystem) -> RootSystem:

@@ -29,7 +29,6 @@ import numpy as np
 
 from orbitope_lab.linalg import nullspace, primitive, solve, vec
 from orbitope_lab.polytope import PolytopeFace, RationalPolytope
-from orbitope_lab.rootsys import fundamental_coweights
 
 
 def _dot(u, v):
@@ -104,11 +103,11 @@ def dominant_with_walls(rs, wall_indices):
     if any(i < 0 or i >= rs.rank for i in walls):
         raise ValueError("wall index out of range")
     if len(walls) == rs.rank:
-        kernel = nullspace(rs.simple_covectors)
+        kernel = nullspace([_matvec(rs.inner_product, a) for a in rs.simple_roots])
         if not kernel:
             return None
         return vec(primitive(kernel[0]))
-    coweights = fundamental_coweights(rs)
+    coweights = rs.fundamental_coweights
     x = [Fraction(0)] * rs.ambient_dim
     for i in range(rs.rank):
         if i not in walls:
@@ -189,6 +188,13 @@ def matrix_group(rs) -> MatrixGroup:
         tuple(words),
         covectors,
     )
+
+
+def parabolic_elements(group, walls) -> list:
+    """Indices of the elements of W_J, J the given simple-root indices: those
+    whose reduced word uses only letters of J (every reduced word of an
+    element of W_J does)."""
+    return [i for i, word in enumerate(group.words) if set(word) <= set(walls)]
 
 
 def image(group, i, x):

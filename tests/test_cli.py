@@ -284,6 +284,15 @@ def test_malformed_system_text_is_a_clean_error(capsys):
     assert err.startswith("error: root system text, line 2: ")
 
 
+def test_group_past_the_order_cap_is_a_clean_error():
+    # |W(A9)| = 10! is refused while the order is walked
+    proc = run_module("describe", "--system", "A9", "--x", "1,0,0,0,0,0,0,0,0,-1")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: group order exceeds the cap of 51840; ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_bad_paths_are_clean_errors(capsys, tmp_path):
     error_message(capsys, ["verify", "--system", str(tmp_path), "--x", "1,1"])
     missing = tmp_path / "no" / "such" / "dir" / "r.json"

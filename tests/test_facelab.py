@@ -1,6 +1,7 @@
 """Face descriptors, saturations, witnesses, and the bijection check."""
 
 import dataclasses
+import functools
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,18 +9,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import dominant_with_walls, simple_reflection
+from oracles import (
+    dominant_with_walls,
+    image,
+    matrix_group,
+    parabolic_elements,
+)
 from orbitope_lab import cli, facelab
 from orbitope_lab import polytope as poly
 from orbitope_lab.rootsys import (
     build_root_system,
-    fundamental_coweights,
     pairing,
 )
-from orbitope_lab.linalg import matvec, vec_add, vec_scale, zeros
+from orbitope_lab.linalg import vec_add, vec_scale, zeros
 from orbitope_lab.weyl import (
+    WeylGroup,
     generate,
-    generate_subgroup,
     orbit,
 )
 
@@ -29,12 +34,9 @@ def system(label):
     return rs, generate(rs)
 
 
-def apply_word(rs, word, x):
-    """s_{w_1} ... s_{w_k} x by exact reflection matrices."""
-    y = tuple(Fraction(c) for c in x)
-    for letter in reversed(word):
-        y = matvec(simple_reflection(rs, letter), y)
-    return y
+@functools.lru_cache(maxsize=None)
+def oracle_group(label):
+    return matrix_group(build_root_system(label))
 
 
 def test_x_connected_subsets_regular_point():
@@ -108,12 +110,15 @@ def test_canonical_beta_values_and_conditions():
 
 
 def test_parabolic_subgroup_matches_regenerated_subgroup():
-    for label in ("A2", "B2", "G2"):
+    """W_J is the group on J's generators, of the oracle's order."""
+    for label in ("A2", "B2", "G2", "B3"):
         rs, group = system(label)
+        oracle = oracle_group(label)
         for mask in range(1 << rs.rank):
             j = frozenset(i for i in range(rs.rank) if mask >> i & 1)
             para = facelab.parabolic_subgroup(group, j)
-            assert para == generate_subgroup(rs, tuple(sorted(j)))
+            assert para == WeylGroup(rs, tuple(sorted(j)))
+            assert para.order == len(parabolic_elements(oracle, j))
 
 
 DESCRIPTOR_COUNTS = (
@@ -287,8 +292,8 @@ def test_sigma_vertices_are_parabolic_orbit():
     x = (3, 2, 1)
     p = poly.hull(orbit(group, x))
     for d in facelab.classify_faces(rs, group, x):
-        sub = facelab.parabolic_subgroup(group, d.J)
-        expected = {apply_word(rs, word, x) for word in sub.words}
+        oracle = oracle_group("B3")
+        expected = {image(oracle, i, x) for i in parabolic_elements(oracle, d.J)}
         assert set(d.sigma_vertices) == expected
         assert set(d.sigma_vertices) <= set(p.vertices)
 
@@ -313,7 +318,7 @@ def test_classification_invariant_under_scaling_and_group_moves(
     rs, group = system(label)
     assume(any(coeffs[: rs.rank]))
     x = zeros(rs.ambient_dim)
-    for c, w in zip(coeffs, fundamental_coweights(rs)):
+    for c, w in zip(coeffs, rs.fundamental_coweights):
         x = vec_add(x, vec_scale(c, w))
     descriptors = facelab.classify_faces(rs, group, x)
     scaled = facelab.classify_faces(rs, group, vec_scale(q, x))
@@ -324,7 +329,8 @@ def test_classification_invariant_under_scaling_and_group_moves(
         )
         assert e.sigma_vertices == tuple(vec_scale(q, p) for p in d.sigma_vertices)
     # the CLI verifies a W-moved x at its dominant representative
-    moved = apply_word(rs, group.words[pick % group.order], x)
+    oracle = oracle_group(label)
+    moved = image(oracle, pick % len(oracle.matrices), x)
     at_x, at_moved = (cli_verify(label, point) for point in (x, moved))
     assert at_moved["x_dominant"] == at_x["x_dominant"]
     assert at_moved["stages"] == at_x["stages"]
@@ -342,7 +348,7 @@ def test_face_orbits_are_counted_by_x_connected_subsets(label, data):
     rs, group = system(label)
     walls = data.draw(st.sets(st.integers(0, rs.rank - 1), max_size=rs.rank - 1))
     x = zeros(rs.ambient_dim)
-    for i, w in enumerate(fundamental_coweights(rs)):
+    for i, w in enumerate(rs.fundamental_coweights):
         if i not in walls:
             x = vec_add(x, vec_scale(data.draw(st.integers(1, 3)), w))
     expected = sum(

@@ -22,7 +22,6 @@ from orbitope_lab.facelab import parabolic_subgroup
 from orbitope_lab.linalg import mat, nullspace, primitive
 from orbitope_lab.rootsys import (
     build_root_system,
-    fundamental_coweights,
     metric_covector,
 )
 from orbitope_lab.weyl import generate, orbit
@@ -283,7 +282,7 @@ def benchmark_orbits(workload):
             points.add((label, tuple(int(c) for c in coeffs.split(","))))
     for label, coeffs in sorted(points):
         rs = build_root_system(label)
-        weights = fundamental_coweights(rs)
+        weights = rs.fundamental_coweights
         x = [sum(c * w[i] for c, w in zip(coeffs, weights))
              for i in range(rs.ambient_dim)]
         yield label, coeffs, orbit(generate(rs), x)
@@ -374,7 +373,7 @@ def test_support_matches_a_fraction_dot_oracle(points, data):
 def regular_orbit_hull(label):
     rs = build_root_system(label)
     group = generate(rs)
-    x = [sum(w[i] for w in fundamental_coweights(rs)) for i in range(rs.ambient_dim)]
+    x = [sum(w[i] for w in rs.fundamental_coweights) for i in range(rs.ambient_dim)]
     points = orbit(group, x)
     return rs, group, points, poly.hull(points)
 

@@ -16,10 +16,17 @@ from oracles import (
     simple_reflection,
 )
 from orbitope_lab.cli import main
-from orbitope_lab.linalg import det, identity, inverse, matvec, transpose
+from orbitope_lab.linalg import (
+    cleared,
+    det,
+    identity,
+    inverse,
+    int_dot,
+    matvec,
+    transpose,
+)
 from orbitope_lab.rootsys import (
     build_root_system,
-    fundamental_coweights,
     is_dominant,
     make_root_system,
     metric_covector,
@@ -128,7 +135,7 @@ def test_positive_roots_have_nonnegative_simple_coefficients():
 def test_fundamental_coweights_dual_to_simple_roots():
     for label in CATALOG:
         rs = build_root_system(label)
-        coweights = fundamental_coweights(rs)
+        coweights = rs.fundamental_coweights
         for i, alpha in enumerate(rs.simple_roots):
             norm = pairing(rs, alpha, alpha)
             for j, w in enumerate(coweights):
@@ -343,7 +350,7 @@ def test_cached_pairing_data_matches_the_gram_matrix(label, entries, coupling, v
     assert rs.covectors == tuple(cov(r) for r in rs.positive_roots)
     for i, alpha in enumerate(rs.simple_roots):
         assert rs.roots[rs.simple_positions[i]] == alpha
-        assert rs.simple_covectors[i] == cov(alpha)
+        assert rs.covectors[rs.simple_positions[i]] == cov(alpha)
     gram = tuple(tuple(form(a, b) for b in rs.simple_roots) for a in rs.simple_roots)
     assert rs.simple_gram == gram
     assert gram == tuple(
@@ -352,16 +359,22 @@ def test_cached_pairing_data_matches_the_gram_matrix(label, entries, coupling, v
     )
     assert matmul(gram, rs.simple_gram_inverse) == identity(rs.rank)
     pad = (0,) * (n - d)
-    for i, w in enumerate(fundamental_coweights(rs)):
-        assert w == matvec(m, fundamental_coweights(catalog)[i]) + pad
+    for i, w in enumerate(rs.fundamental_coweights):
+        assert w == matvec(m, catalog.fundamental_coweights[i]) + pad
         for j, alpha in enumerate(rs.simple_roots):
             assert form(alpha, w) == (gram[i][i] / 2 if i == j else 0)
     v = tuple(v[:n])
+    den, vs = cleared(v)
+    d_steps, steps = rs.simple_steps
     for i, alpha in enumerate(rs.simple_roots):
         c = 2 * form(alpha, v) / form(alpha, alpha)
         expected = tuple(t - c * a for t, a in zip(v, alpha))
         assert reflect(rs, i, v) == expected
         assert matvec(simple_reflection(rs, i), v) == expected
+        # the integer step moves v's numerators by its pairing with alpha
+        p = int_dot(rs.integer_covectors[rs.simple_positions[i]], vs)
+        moved = (d_steps * t - p * s for t, s in zip(vs, steps[i]))
+        assert tuple(Fraction(t, d_steps * den) for t in moved) == expected
         perm = rs.simple_reflection_perms[i]
         assert [rs.roots[j] for j in perm] == [reflect(rs, i, r) for r in rs.roots]
     assert rs.positive_coefficients == tuple(

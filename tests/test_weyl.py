@@ -16,22 +16,22 @@ from oracles import (
     matmul,
     matrix_group,
     orbit_by_matrices,
+    parabolic_elements,
     share_chamber_by_pairings,
     simple_reflection,
     vertex_permutations_by_matrices,
 )
 from orbitope_lab import polytope as poly
 from orbitope_lab import weyl
+from orbitope_lab.facelab import parabolic_subgroup
 from orbitope_lab.linalg import cleared_rows, identity, matvec, transpose
 from orbitope_lab.rootsys import (
     build_root_system,
-    fundamental_coweights,
     is_dominant,
     share_closed_chamber,
 )
 from orbitope_lab.weyl import (
     generate,
-    generate_subgroup,
     orbit,
     to_dominant,
 )
@@ -86,6 +86,22 @@ def apply_word(rs, word, x):
     return y
 
 
+def subsets(rank):
+    """Every subset of the simple-root indices, as a sorted tuple."""
+    return [
+        tuple(i for i in range(rank) if mask >> i & 1) for mask in range(1 << rank)
+    ]
+
+
+def assert_orbit_matches(points, oracle, x, elements):
+    """points is the orbit of x under the given oracle elements: x first,
+    each point once."""
+    x = tuple(Fraction(c) for c in x)
+    assert points[0] == x
+    assert len(set(points)) == len(points)
+    assert set(points) == {image(oracle, i, x) for i in elements}
+
+
 def test_group_orders():
     for label, expected in ORDERS.items():
         assert generate(build_root_system(label)).order == expected
@@ -121,30 +137,46 @@ def test_generate_reads_the_cached_root_permutations(monkeypatch):
 
 
 def test_identity_is_first_with_empty_word():
+    """The orbit starts at x, and a dominant x is its own witness."""
     rs = build_root_system("B2")
     group = generate(rs)
-    assert group.perms[0] == tuple(range(len(rs.roots)))
-    assert group.words[0] == ()
+    for x in ((2, 1), (1, 1), (1, 0), (0, 0)):
+        assert orbit(group, x)[0] == x
+        assert to_dominant(group, x) == (x, ())
 
 
 def test_words_are_geodesic_and_unique():
-    group = generate(build_root_system("G2"))
-    assert len(set(group.perms)) == group.order
-    assert len(set(group.words)) == group.order
-    letters = {w[0]: p for p, w in zip(group.perms, group.words) if len(w) == 1}
-    for perm, word in zip(group.perms, group.words):
-        # composing the letters' permutations reproduces the element
-        acc = group.perms[0]
-        for letter in word:
-            acc = tuple(acc[j] for j in letters[letter])
-        assert acc == perm
-    lengths = [len(w) for w in group.words]
-    assert lengths == sorted(lengths)
+    """Over a regular orbit the witness words spell distinct elements, each
+    as long as the oracle's reduced word for it."""
+    for label in ("G2", "B3"):
+        rs, group, oracle = groups(label)
+        rho = tuple(map(sum, zip(*rs.fundamental_coweights)))
+        words = set()
+        for i, word in enumerate(oracle.words):
+            y = image(oracle, i, rho)
+            dom = to_dominant(group, y)
+            assert dom.vector == rho
+            assert apply_word(rs, dom.word, y) == rho
+            assert len(dom.word) == len(word)
+            words.add(dom.word)
+        assert len(words) == group.order
 
 
 def test_order_cap_enforced():
     with pytest.raises(ValueError):
         generate(build_root_system("F4"), order_cap=100)
+
+
+def test_order_cap_refuses_exactly_past_the_order():
+    rs = build_root_system("F4")
+    assert generate(rs, order_cap=1152).order == 1152
+    message = (
+        "group order exceeds the cap of 1151; "
+        "this rank is not supported for exact enumeration"
+    )
+    with pytest.raises(ValueError) as info:
+        generate(rs, order_cap=1151)
+    assert str(info.value) == message
 
 
 def test_orbit_and_stabilizer_sizes_multiply():
@@ -197,18 +229,25 @@ def test_to_dominant_always_lands_in_chamber():
 
 def test_to_dominant_rejects_proper_subgroup():
     rs = build_root_system("A2")
-    with pytest.raises(ValueError):
-        to_dominant(generate_subgroup(rs, (0,)), (-2, 0, 2))
+    with pytest.raises(ValueError, match="no dominant representative"):
+        to_dominant(parabolic_subgroup(generate(rs), (0,)), (-2, 0, 2))
 
 
 def test_parabolic_subgroup_generation():
-    rs = build_root_system("A2")
-    group = generate_subgroup(rs, (0,))
-    assert group.order == 2
-    full = generate(rs)
-    assert set(group.perms) <= set(full.perms)
-    empty = generate_subgroup(rs, ())
+    rs, group, oracle = groups("A2")
+    sub = parabolic_subgroup(group, (0,))
+    assert sub.generator_indices == (0,)
+    assert sub.order == 2
+    x = (2, 0, -2)
+    assert_orbit_matches(orbit(sub, x), oracle, x, parabolic_elements(oracle, (0,)))
+    empty = parabolic_subgroup(group, ())
     assert empty.order == 1
+    assert orbit(empty, x) == (x,)
+    assert parabolic_subgroup(sub, ()).order == 1
+    with pytest.raises(ValueError, match="outside the group's generators"):
+        parabolic_subgroup(sub, (1,))
+    with pytest.raises(ValueError, match="outside the simple roots"):
+        parabolic_subgroup(group, (2,))
 
 
 def wall_points(rs):
@@ -227,16 +266,12 @@ def wall_points(rs):
 def test_group_matches_matrix_oracle(spec):
     rs, group, oracle = groups(spec)
     assert group.order == len(oracle.matrices)
-    assert group.words == oracle.words
-    roots = rs.roots
-    for i, perm in enumerate(group.perms):
-        for alpha in rs.simple_roots:
-            assert roots[perm[roots.index(alpha)]] == image(oracle, i, alpha)
+    everything = range(len(oracle.matrices))
     rng = random.Random(spec)
     hulls = 0
     for x in wall_points(rs):
         images = orbit_by_matrices(oracle, x)
-        assert orbit(group, x) == images
+        assert_orbit_matches(orbit(group, x), oracle, x, everything)
         for y in [x] + rng.sample(images, min(6, len(images))):
             dom = to_dominant(group, y)
             assert (dom.vector, dom.word) == dominant_by_scan(oracle, y)
@@ -249,6 +284,35 @@ def test_group_matches_matrix_oracle(spec):
                 expected[oracle.words.index((i,))] for i in group.generator_indices
             )
     assert hulls > 0
+
+
+@pytest.mark.parametrize("spec", ORACLE_SYSTEMS, ids=lambda s: s.split("\n")[0])
+def test_parabolic_orders_match_the_oracle(spec):
+    """For every J, |W_J| is the number of oracle elements whose reduced
+    word uses only letters of J."""
+    rs, group, oracle = groups(spec)
+    for walls in subsets(rs.rank):
+        sub = parabolic_subgroup(group, walls)
+        assert sub.order == len(parabolic_elements(oracle, walls))
+
+
+@pytest.mark.parametrize("spec", ORACLE_SYSTEMS, ids=lambda s: s.split("\n")[0])
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(
+    st.lists(st.fractions(-6, 6, max_denominator=4), min_size=5, max_size=5),
+    st.integers(0, 2**5 - 1),
+)
+def test_orbits_match_the_oracle_as_sets(spec, coords, mask):
+    """The orbit of x under W, and under W_J for a drawn J, is the oracle's
+    orbit, listed from x with no point twice."""
+    rs, group, oracle = groups(spec)
+    x = tuple(coords[: rs.ambient_dim])
+    assert_orbit_matches(orbit(group, x), oracle, x, range(len(oracle.matrices)))
+    walls = subsets(rs.rank)[mask % (1 << rs.rank)]
+    sub = parabolic_subgroup(group, walls)
+    elements = parabolic_elements(oracle, walls)
+    assert_orbit_matches(orbit(sub, x), oracle, x, elements)
+    assert sub.order == len(elements)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -296,7 +360,7 @@ def test_face_orbits_match_the_whole_group_oracle(spec, coeffs):
         coeffs = [c if i == top else 0 for i, c in enumerate(coeffs)]
     assume(any(coeffs))
     x = [Fraction(0)] * rs.ambient_dim
-    for c, w in zip(coeffs, fundamental_coweights(rs)):
+    for c, w in zip(coeffs, rs.fundamental_coweights):
         x = [a + c * b for a, b in zip(x, w)]
     points = orbit(group, x)
     assume(len(points) <= 48)  # F4's two middle coweights have 96
@@ -325,7 +389,7 @@ def test_to_dominant_matches_matrix_oracle(spec, coords):
     x = tuple(coords[: rs.ambient_dim])
     dom = to_dominant(group, x)
     assert (dom.vector, dom.word) == dominant_by_scan(oracle, x)
-    assert orbit(group, x) == orbit_by_matrices(oracle, x)
+    assert_orbit_matches(orbit(group, x), oracle, x, range(len(oracle.matrices)))
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
