@@ -234,11 +234,12 @@ def descriptor_record(descriptor: FaceDescriptor) -> dict:
 
 
 def verify_bijection(
-    rs: RootSystem, group: weyl.WeylGroup, orbit_polytope, descriptors
+    rs: RootSystem, orbit_polytope, perms, descriptors
 ) -> BijectionReport:
     """Check the descriptors against the brute-force face lattice.
 
-    ``orbit_polytope`` is the hull of the orbit of a dominant x and
+    ``orbit_polytope`` is the hull of the orbit of a dominant x, ``perms``
+    the simple reflections' letters on its vertex indices, and
     ``descriptors`` are meant to be ``classify_faces`` of that x.  Three
     things must hold: the descriptor count equals the number of group
     orbits of proper faces, the witness normal of each descriptor exposes
@@ -246,7 +247,6 @@ def verify_bijection(
     to face orbits hits every orbit exactly once.  Counterexamples carry
     enough data to identify the failing descriptor or the missed orbit.
     """
-    perms = poly.vertex_permutations(orbit_polytope, group)
     orbits = poly.faces_up_to_group(orbit_polytope, perms)
     rep_sizes = {face.vertex_indices: size for face, size in orbits}
 

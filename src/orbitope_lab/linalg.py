@@ -146,6 +146,25 @@ def inverse(a: Mat) -> Mat:
     return tuple(tuple(rows[i][n:]) for i in range(n))
 
 
+def scaled_inverse(a) -> tuple[int, list]:
+    """(c, c a^-1) for a nonsingular integer matrix a, c a nonzero integer:
+    Gauss-Jordan elimination on [a | I] kept fraction-free (Bareiss), so
+    every division is exact and the left block ends as c I."""
+    n = len(a)
+    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
+    prev = 1
+    for k in range(n):
+        p = next(i for i in range(k, n) if rows[i][k])
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k][k]
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(pivot * x - f * y) // prev for x, y in zip(rows[i], rows[k])]
+        prev = pivot
+    return prev, [r[n:] for r in rows]
+
+
 def det(a: Mat) -> Fraction:
     n = len(a)
     rows = [list(r) for r in a]

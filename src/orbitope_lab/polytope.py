@@ -6,16 +6,22 @@ across each ridge of each facet found, a facet's ridges being the facets
 of its own points one dimension down.  That recursion meets every face
 of every dimension, so the hull keeps them: the face lattice is a by-product,
 not a second pass.  No floating point enters, and the hull reads nothing but
-the points, so it stays an independent check on the root-data
-classification.
+the points and the symmetries it checks, so it stays an independent check
+on the root-data classification.
+
+Given letters, affine symmetries of the points such as the simple
+reflections on an orbit, the top level wraps one facet per orbit and
+closes the faces met under the letters (the adjacency decomposition of
+Bremner, Dutour Sikirić and Schürmann, arXiv:math/0702239).  A letter no
+affine map induces is refused, not trusted.
 
 The integer coordinates come from clearing every denominator once.  A
 fraction-free echelon of the differences picks the affine basis, and the
 points are projected onto the echelon's leading coordinates, a bijection on
 the affine hull.  Each facet normal found there is lifted back into the
 direction space once, by one integer matrix per hull.  The polytope keeps
-its vertices over one common denominator too, so supports and the group's
-action on the vertices are evaluated in integers.
+its vertices over one common denominator too, so supports are evaluated in
+integers.
 
 Facet inequalities are stored in ambient coordinates as pairs
 ``(normal, offset)`` meaning ``<normal, x> <= offset``, jointly scaled to
@@ -39,8 +45,7 @@ from .linalg import (
     dot,
     echelon,
     int_dot,
-    inverse,
-    mat,
+    scaled_inverse,
     solve,
     transpose,
     vec,
@@ -173,15 +178,28 @@ def _ridges(coords, n, tight, budget):
     return out, faces
 
 
-def _wrap(coords, budget):
+def _normal(coords, tight):
+    """The facet inequality (n, b) whose plane holds the points ``tight``."""
+    t0 = coords[tight[0]]
+    n = _cross(list(echelon([vec_sub(coords[i], t0) for i in tight[1:]]).values()))
+    b = int_dot(n, t0)
+    # the points off a facet's plane all lie on one side of it
+    off = next(v for v in (int_dot(n, p) for p in coords) if v != b)
+    k = math.gcd(*n) if off < b else -math.gcd(*n)
+    return tuple(x // k for x in n), b // k
+
+
+def _wrap(coords, budget, letters=()):
     """Facets (normal, offset, point indices) of a full-dimensional set of
     distinct integer points, and its proper faces as {point indices: dim}.
     A face's key lists every point on it, sorted, so the facets that share
     a face give it the same key; the vertices are the faces of dim 0.
 
     Gift-wrapping: from a first facet, pivot across each ridge of each
-    facet found.  Raises ValueError once more than ``budget`` faces, the
-    hull itself included, have turned up.
+    facet found, skipping a facet in the orbit of one wrapped before under
+    the ``letters``; the faces met are then closed under them.  Raises
+    ValueError once more than ``budget`` faces, the hull itself included,
+    have turned up.
     """
     if len(coords[0]) == 1:
         vals = [p[0] for p in coords]
@@ -191,11 +209,15 @@ def _wrap(coords, budget):
     found = {_first_facet(coords): ()}
     queue = list(found)
     done = set()
+    known = {}  # the point sets of the facets in the orbits wrapped
     faces = {}
     for wrapped, (n, b) in enumerate(queue, 1):
         below = [(p, b - int_dot(n, p)) for p in coords]
-        found[n, b] = tuple(i for i, (_, h) in enumerate(below) if not h)
-        ridges, facet_faces = _ridges(coords, n, found[n, b], budget)
+        found[n, b] = tight = tuple(i for i, (_, h) in enumerate(below) if not h)
+        if tight in known:
+            continue
+        known.update(dict.fromkeys(face_orbit(tight, letters)))
+        ridges, facet_faces = _ridges(coords, n, tight, budget)
         faces.update(facet_faces)
         below = [pair for pair in below if pair[1]]
         for w, c, ridge in ridges:
@@ -208,7 +230,16 @@ def _wrap(coords, budget):
         # the hull, the faces of the facets wrapped, the facets still queued
         if 1 + len(faces) + len(queue) - wrapped > budget:
             raise ValueError(f"face budget of {budget} exceeded")
-    return [(n, b, tight) for (n, b), tight in found.items()], faces
+    if letters:
+        closed = {}
+        for on, dim in faces.items():
+            if on not in closed:
+                closed.update(dict.fromkeys(face_orbit(on, letters), dim))
+                if 1 + len(closed) > budget:
+                    raise ValueError(f"face budget of {budget} exceeded")
+        faces = closed
+    normals = {tight: nb for nb, tight in found.items()}
+    return [(normals.get(t) or _normal(coords, t)) + (t,) for t in known], faces
 
 
 def _lift(rows, leads):
@@ -217,15 +248,36 @@ def _lift(rows, leads):
     <L n, v> is one positive multiple of <n, v restricted to the leads>.
 
     With E the rows, E_P their leading columns and c G^-1 an integer
-    multiple of the inverse of G = E E^T, L = E^T (c G^-1) E_P.
+    multiple of the inverse of G = E E^T, L = E^T (c G^-1) E_P.  G is
+    positive definite, so its elimination swaps no rows and c = det G > 0.
     """
-    _, inv = cleared_rows(inverse(mat([[int_dot(a, b) for b in rows] for a in rows])))
+    _, inv = scaled_inverse([[int_dot(a, b) for b in rows] for a in rows])
     at_leads = [[r[j] for j in leads] for r in rows]
     middle = [[int_dot(row, col) for col in zip(*at_leads)] for row in inv]
     return [[int_dot(e, m) for m in zip(*middle)] for e in zip(*rows)]
 
 
-def hull(points, *, budget: int = DEFAULT_FACE_BUDGET) -> RationalPolytope:
+def _check_letters(zs, basis, letters):
+    """Refuse a letter that is no permutation of the integer points ``zs``
+    or that no affine map induces.  With B the differences of the affine
+    basis points ``basis`` from zs[0] and B_s those of their images from
+    zs[s(0)], a letter s is affine when every (z_i - z_0) B^-1 B_s equals
+    z_s(i) - z_s(0); both sides are taken times c, c B^-1 in integers."""
+    z0 = zs[0]
+    c, inv = scaled_inverse([[x - y for x, y in zip(zs[k], z0)] for k in basis])
+    for letter in letters:
+        if sorted(letter) != list(range(len(zs))):
+            raise ValueError("a letter is not a permutation of the distinct points")
+        s0 = zs[letter[0]]
+        images = [[x - y for x, y in zip(zs[letter[k]], s0)] for k in basis]
+        cols = list(zip(*[[int_dot(r, col) for col in zip(*images)] for r in inv]))
+        for z, i in zip(zs, letter):
+            u = [x - y for x, y in zip(z, z0)]
+            if any(c * (x - y) != int_dot(u, m) for x, y, m in zip(zs[i], s0, cols)):
+                raise ValueError("a letter is induced by no affine map of the points")
+
+
+def hull(points, *, letters=(), budget: int = DEFAULT_FACE_BUDGET) -> RationalPolytope:
     """Exact convex hull of a finite rational point set.
 
     The points are cleared to integers over one common denominator and
@@ -237,6 +289,10 @@ def hull(points, *, budget: int = DEFAULT_FACE_BUDGET) -> RationalPolytope:
     point subsets of the affine dimension d.  The faces met on the way
     down are kept as the polytope's ``faces``.  Raises ValueError when more
     than ``budget`` faces, the polytope itself included, turn up.
+
+    ``letters``, affine symmetries of the distinct points as permutations
+    of their indices, let the top level wrap one facet per orbit; the
+    polytope is the same.  A letter no affine map induces raises ValueError.
     """
     pts = list(dict.fromkeys(vec(p) for p in points))
     if not pts:
@@ -250,11 +306,13 @@ def hull(points, *, budget: int = DEFAULT_FACE_BUDGET) -> RationalPolytope:
     rows = echelon([[x - y for x, y in zip(p, ys[0])] for p in ys[1:]])
     basis = tuple(vec_sub(pts[k + 1], p0) for k in rows)
     d = len(basis)
+    leads = [next(j for j, x in enumerate(r) if x) for r in rows.values()]
+    zs = [tuple(p[j] for j in leads) for p in ys]
+    _check_letters(zs, [k + 1 for k in rows], letters)
     if d == 0:
         vertices, facets, faces = (p0,), [], [PolytopeFace((0,), 0)]
     else:
-        leads = [next(j for j, x in enumerate(r) if x) for r in rows.values()]
-        red_facets, red_faces = _wrap([tuple(p[j] for j in leads) for p in ys], budget)
+        red_facets, red_faces = _wrap(zs, budget, letters)
         # one positive denominator: the integer points sort as the rationals
         order = sorted(
             (on[0] for on, dim in red_faces.items() if not dim), key=ys.__getitem__
@@ -326,25 +384,26 @@ def face_lattice(polytope: RationalPolytope) -> tuple:
     sorted by (dim, vertex indices).
 
     :func:`hull` collects them from its recursion into each facet's own
-    hull, and checks their number against its budget there.
+    hull, closed under its letters, and checks their number against its
+    budget there.
     """
     return polytope.faces
 
 
-def vertex_permutations(polytope: RationalPolytope, group) -> tuple:
-    """How the group's generators, the simple reflections, permute the
-    vertex indices.
+def vertex_permutations(points, group) -> tuple:
+    """How the group's generators, the simple reflections, permute a list
+    of distinct rational points, by index.
 
-    ``perms[i][k]`` is the index of the image of vertex k under the
-    reflection in simple root ``group.generator_indices[i]``.  The letters
-    act on the cleared vertices, in integers; they generate the group's
-    action, so :func:`faces_up_to_group` needs no other element.  Raises
-    ValueError when the group does not map the vertex set onto itself.
+    ``perms[i][k]`` is the index of the image of point k under the
+    reflection in simple root ``group.generator_indices[i]``, in integers.
+    The letters generate the group's action, so :func:`hull` and
+    :func:`faces_up_to_group` need no other element.  Raises ValueError
+    when the group does not map the points onto themselves.
     """
     rs = group.root_system
-    if rs.ambient_dim != polytope.ambient_dim:
-        raise ValueError("the group and the polytope have different dimensions")
-    ints = polytope.cleared_vertices[1]
+    if any(len(p) != rs.ambient_dim for p in points):
+        raise ValueError("the group and the points have different dimensions")
+    ints = cleared_rows(points)[1]
     return tuple(weyl.point_permutation(rs, i, ints) for i in group.generator_indices)
 
 

@@ -6,8 +6,8 @@ subgroup); no element is ever listed.  Everything runs on the vector of
 simple pairings p_j = <alpha_j, y>_G, kept as integers (a point with its
 denominators cleared, against ``rs.integer_covectors``): reflecting in
 alpha_i sends p_j to p_j - p_i * cartan[i][j] and moves the point's
-numerators by -p_i rows[i] / d, (d, rows) = ``rs.simple_steps``; a walk records
-its moves, p_i summed per simple root, and builds the point once.  The
+numerators by -p_i rows[i] / d, (d, rows) = ``rs.simple_steps``.  ``orbit``
+moves each point once from its parent in the walk.  The
 part of a point orthogonal to the roots is fixed by the group, so within
 one orbit the pairings determine the point.  ``orbit`` walks them
 breadth-first from x; the order of a group is the orbit size of a regular
@@ -84,15 +84,15 @@ def _reflect(p: tuple, i: int, cartan) -> tuple:
 
 def _walk(group: WeylGroup, p: tuple, cap: int | None = None) -> dict:
     """The pairing vectors of the orbit of p, breadth-first from p under the
-    generators in index order, each mapped to its moves: per simple root,
-    the sum of the pairings reflected away in it along the walk."""
+    generators in index order, each mapped to the step that found it: its
+    parent's pairings, the simple root reflected in and the parent's
+    pairing with it ((None, 0, 0) for p itself)."""
     cartan = group.root_system.cartan_matrix
-    found = {p: (0,) * len(p)}
+    found = {p: (None, 0, 0)}
     frontier = [p]
     while frontier:
         fresh = []
         for q in frontier:
-            moves = found[q]
             for i in group.generator_indices:
                 if not q[i]:
                     continue
@@ -104,34 +104,24 @@ def _walk(group: WeylGroup, p: tuple, cap: int | None = None) -> dict:
                         f"group order exceeds the cap of {cap}; "
                         "this rank is not supported for exact enumeration"
                     )
-                found[image] = moves[:i] + (moves[i] + q[i],) + moves[i + 1 :]
+                found[image] = (q, i, q[i])
                 fresh.append(image)
         frontier = fresh
     return found
 
 
-def _points(rs: RootSystem, den: int, xs, all_moves) -> tuple:
-    """x = xs / den moved by each moves vector of its pairing walk, summed
-    in integers; only the returned points are Fractions."""
-    d, steps = rs.simple_steps
-    base = tuple(d * t for t in xs)
-    scale = d * den
-    out = []
-    for moves in all_moves:
-        y = base
-        for m, step in zip(moves, steps):
-            if m:
-                y = tuple([t - m * s for t, s in zip(y, step)])
-        out.append(tuple([Fraction(t, scale) for t in y]))
-    return tuple(out)
-
-
 def orbit(group: WeylGroup, x) -> tuple:
     """The exact orbit of x, breadth-first from x under the generators
-    (x first, each point once)."""
+    (x first, each point once).  Each point is its parent's cleared
+    numerators moved once, in integers."""
     rs = group.root_system
-    walk = _walk(group, tuple(simple_pairings(rs, x)))
-    return _points(rs, *cleared(x), walk.values())
+    d, steps = rs.simple_steps
+    den, xs = cleared(x)
+    ints = {None: [d * t for t in xs]}
+    for q, (parent, i, m) in _walk(group, tuple(simple_pairings(rs, x))).items():
+        ints[q] = [t - m * s for t, s in zip(ints[parent], steps[i])]
+    del ints[None]
+    return tuple(tuple([Fraction(t, d * den) for t in y]) for y in ints.values())
 
 
 class DominantResult(NamedTuple):
@@ -146,7 +136,7 @@ def to_dominant(group: WeylGroup, x) -> DominantResult:
     whose simple pairings are all nonnegative.  w is the shortest such
     element (it is unique) and word its shortlex-least reduced word.
     Reflecting x in generators that pair negatively with it reaches x_plus
-    along w; x_plus is assembled once from the summed moves.  The same
+    along w, x's cleared numerators moved along in integers.  The same
     steps take the point rho with all pairings 1 to w rho, and
     <alpha_i, w rho> < 0 exactly when w^-1 alpha_i is negative, i.e. when
     s_i is a left descent of w.  So the word is read by walking w rho back
@@ -157,9 +147,11 @@ def to_dominant(group: WeylGroup, x) -> DominantResult:
     rho = (1,) * rs.rank
     cartan = rs.cartan_matrix
     gens = group.generator_indices
-    moves = [0] * rs.rank
+    d, steps = rs.simple_steps
+    den, y = cleared(x)
+    y = [d * t for t in y]
     while (i := next((i for i in gens if p[i] < 0), None)) is not None:
-        moves[i] += p[i]
+        y = [t - p[i] * s for t, s in zip(y, steps[i])]
         p = _reflect(p, i, cartan)
         rho = _reflect(rho, i, cartan)
     if any(pj < 0 for pj in p):
@@ -171,4 +163,4 @@ def to_dominant(group: WeylGroup, x) -> DominantResult:
     while (i := next((i for i in gens if rho[i] < 0), None)) is not None:
         word.append(i)
         rho = _reflect(rho, i, cartan)
-    return DominantResult(_points(rs, *cleared(x), [moves])[0], tuple(word))
+    return DominantResult(tuple([Fraction(t, d * den) for t in y]), tuple(word))

@@ -88,7 +88,9 @@ def test_criterion_1_face_orbit_bijection():
     for label, x in cases:
         rs, group = system(label)
         descriptors = facelab.classify_faces(rs, group, x)
-        report = facelab.verify_bijection(rs, group, hull_for(label, x), descriptors)
+        p = hull_for(label, x)
+        perms = poly.vertex_permutations(p.vertices, group)
+        report = facelab.verify_bijection(rs, p, perms, descriptors)
         if not report.passed:
             failures.append((label, x, report.counterexamples[:1]))
     elapsed = time.monotonic() - start

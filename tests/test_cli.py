@@ -336,6 +336,19 @@ def test_lattice_face_budget_is_a_clean_error(capsys):
     assert err == "error: face budget of 100 exceeded\n"
 
 
+@pytest.mark.parametrize("command", ["polytope", "verify"])
+def test_face_budget_counts_every_face_under_the_letters(capsys, command):
+    # the hull wraps one facet per orbit and closes the faces under the
+    # letters; regular B3 still counts 147 faces, the polytope included
+    argv = [command, "--system", "B3", "--x", "3,2,1", "--face-budget"]
+    err = error_message(capsys, argv + ["146"])
+    assert err == "error: face budget of 146 exceeded\n"
+    status, report = run_json(capsys, argv + ["147"])
+    assert status == 0
+    if command == "polytope":
+        assert report["face_count"] == 147
+
+
 def test_negative_seed_is_a_clean_error(capsys):
     err = error_message(
         capsys, ["verify", "--model", "sym2", "--x", "1,-1", "--seed", "-1"]

@@ -195,7 +195,8 @@ def bijection(rs, group, x, descriptors=None):
     if descriptors is None:
         descriptors = facelab.classify_faces(rs, group, x)
     p = poly.hull(orbit(group, x))
-    return facelab.verify_bijection(rs, group, p, descriptors)
+    perms = poly.vertex_permutations(p.vertices, group)
+    return facelab.verify_bijection(rs, p, perms, descriptors)
 
 
 def test_verify_bijection_passes():
@@ -359,6 +360,6 @@ def test_face_orbits_are_counted_by_x_connected_subsets(label, data):
         and len(facelab.saturation(rs, subset, x)) < rs.rank
     )
     p = poly.hull(orbit(group, x))
-    orbits = poly.faces_up_to_group(p, poly.vertex_permutations(p, group))
+    orbits = poly.faces_up_to_group(p, poly.vertex_permutations(p.vertices, group))
     assert len(orbits) == expected
     assert sum(size for _, size in orbits) == len(poly.face_lattice(p)) - 1

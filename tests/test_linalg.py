@@ -19,6 +19,7 @@ from orbitope_lab.linalg import (
     nullspace,
     primitive,
     rref,
+    scaled_inverse,
     solve,
     transpose,
     vec,
@@ -89,6 +90,21 @@ def test_inverse_and_det():
         inv = inverse(a)
         assert matmul(a, inv) == identity(3)
         seen += 1
+
+
+def test_scaled_inverse_is_an_integer_multiple_of_the_inverse():
+    rng = random.Random(3)
+    checked = 0
+    while checked < 200:
+        n = rng.randint(1, 6)
+        # small entries make singular draws and zero pivots, so row swaps
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if det(mat(a)) == 0:
+            continue
+        c, inv = scaled_inverse(a)
+        assert all(type(x) is int for row in inv for x in row)
+        assert mat(inv) == tuple(tuple(c * x for x in row) for row in inverse(mat(a)))
+        checked += 1
 
 
 def test_primitive_scaling():

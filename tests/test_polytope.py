@@ -5,6 +5,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -57,7 +58,7 @@ def test_hexagon_counts():
     assert len(p.facets) == 6
     faces = poly.face_lattice(p)
     assert len(faces) == 13
-    orbits = poly.faces_up_to_group(p, poly.vertex_permutations(p, group))
+    orbits = poly.faces_up_to_group(p, poly.vertex_permutations(p.vertices, group))
     assert sorted((f.dim, size) for f, size in orbits) == [
         (0, 6),
         (1, 3),
@@ -75,7 +76,7 @@ def test_octagon_counts():
     rs, group, p = orbit_hull("B2", (2, 1))
     assert (p.dim, len(p.vertices), len(p.facets)) == (2, 8, 8)
     assert len(poly.face_lattice(p)) == 17
-    orbits = poly.faces_up_to_group(p, poly.vertex_permutations(p, group))
+    orbits = poly.faces_up_to_group(p, poly.vertex_permutations(p.vertices, group))
     assert sorted((f.dim, size) for f, size in orbits) == [
         (0, 8),
         (1, 4),
@@ -93,7 +94,7 @@ def test_permutohedron_counts():
     assert p.dim == 3
     assert len(p.vertices) == 24
     assert len(p.facets) == 14
-    orbits = poly.faces_up_to_group(p, poly.vertex_permutations(p, group))
+    orbits = poly.faces_up_to_group(p, poly.vertex_permutations(p.vertices, group))
     assert len(orbits) == 7
     assert sum(size for _, size in orbits) == len(poly.face_lattice(p)) - 1
 
@@ -103,7 +104,7 @@ def test_regular_b3_counts():
     assert (len(p.vertices), len(p.facets)) == (48, 26)
     faces = poly.face_lattice(p)
     assert len(faces) == 147
-    orbits = poly.faces_up_to_group(p, poly.vertex_permutations(p, group))
+    orbits = poly.faces_up_to_group(p, poly.vertex_permutations(p.vertices, group))
     assert len(orbits) == 7
     assert sum(size for _, size in orbits) == 146
 
@@ -240,13 +241,13 @@ def test_every_face_is_exposed_by_tight_normal_sum():
 
 def test_vertex_permutations_and_bad_group():
     rs, group, p = orbit_hull("A2", (2, 0, -2))
-    perms = poly.vertex_permutations(p, group)
+    perms = poly.vertex_permutations(p.vertices, group)
     assert len(perms) == rs.rank
     for perm in perms:
         assert sorted(perm) == list(range(6))
     other = generate(build_root_system("B3"))
     with pytest.raises(ValueError):
-        poly.vertex_permutations(poly.hull([(0, 0, 0), (1, 0, 0)]), other)
+        poly.vertex_permutations(poly.hull([(0, 0, 0), (1, 0, 0)]).vertices, other)
 
 
 def test_face_budget_enforced():
@@ -370,32 +371,33 @@ def test_support_matches_a_fraction_dot_oracle(points, data):
     assert improper.dim == p.dim
 
 
-def regular_orbit_hull(label):
+def regular_orbit(label):
     rs = build_root_system(label)
     group = generate(rs)
     x = [sum(w[i] for w in rs.fundamental_coweights) for i in range(rs.ambient_dim)]
-    points = orbit(group, x)
-    return rs, group, points, poly.hull(points)
+    return rs, group, orbit(group, x)
 
 
-@pytest.mark.parametrize("label", ["A4", "D4"])
-def test_regular_rank4_hull_certificates(label):
-    rs, group, points, p = regular_orbit_hull(label)
+def check_hull_certificates(rs, group, points, p):
+    """Each facet is tight on an affine (d-1)-flat of the points and bounds
+    them all, each ridge lies on exactly two facets, and the facets number
+    as the maximal parabolic subgroups predict."""
     d = p.dim
-    assert (d, len(p.vertices)) == (4, group.order)
+    assert (d, len(p.vertices)) == (rs.rank, group.order)
     scale = math.lcm(*(c.denominator for q in points for c in q))
     ints = [tuple(int(c * scale) for c in q) for q in points]
     tight_sets = []
     for nu, c in p.facets:
-        values = [sum(int(a) * b for a, b in zip(nu, q)) for q in ints]
+        nu = [int(a) for a in nu]
+        values = [sum(a * b for a, b in zip(nu, q)) for q in ints]
         assert max(values) == int(c) * scale
         tight = frozenset(i for i, v in enumerate(values) if v == int(c) * scale)
         tight_sets.append(tight)
 
     def affine_rank(ids):
         first, *rest = sorted(ids)
-        base = points[first]
-        return rank(mat([[a - b for a, b in zip(points[i], base)] for i in rest]))
+        base = ints[first]
+        return rank([[a - b for a, b in zip(ints[i], base)] for i in rest])
 
     assert all(affine_rank(t) == d - 1 for t in tight_sets)
     ridges = {
@@ -413,7 +415,58 @@ def test_regular_rank4_hull_certificates(label):
         group.order // parabolic_subgroup(group, simple - {i}).order
         for i in simple
     )
+
+
+@pytest.mark.parametrize("label", ["A4", "D4"])
+def test_regular_rank4_hull_certificates(label):
+    rs, group, points = regular_orbit(label)
+    p = poly.hull(points)
+    check_hull_certificates(rs, group, points, p)
     assert p.faces == face_lattice_by_intersections(p.vertices, p.facets)
+
+
+@pytest.mark.parametrize("label", ["A5", "D5"])
+def test_regular_rank5_hull_certificates_with_letters(label):
+    rs, group, points = regular_orbit(label)
+    letters = poly.vertex_permutations(points, group)
+    p = poly.hull(points, letters=letters)
+    check_hull_certificates(rs, group, points, p)
+    # the faces of dim k are the cosets w W_J with |J| = k, the polytope
+    # itself included (the intersection oracle is too slow at this size)
+    expected = Counter()
+    for k in range(rs.rank + 1):
+        for subset in combinations(range(rs.rank), k):
+            expected[k] += group.order // parabolic_subgroup(group, set(subset)).order
+    assert Counter(f.dim for f in p.faces) == expected
+
+
+@pytest.mark.parametrize("workload", ["exact-rank3", "exact-rank4"])
+def test_letters_hull_matches_the_plain_hull_on_benchmark_orbits(workload):
+    for label, coeffs, points in benchmark_orbits(workload):
+        group = generate(build_root_system(label))
+        letters = poly.vertex_permutations(points, group)
+        assert poly.hull(points, letters=letters) == poly.hull(points), (label, coeffs)
+
+
+@pytest.mark.parametrize("label", ["A4", "B4", "C4", "D4", "F4"])
+def test_letters_hull_matches_the_plain_hull_at_regular_points(label):
+    rs, group, points = regular_orbit(label)
+    letters = poly.vertex_permutations(points, group)
+    assert poly.hull(points, letters=letters) == poly.hull(points)
+
+
+def test_hull_refuses_letters_that_are_no_affine_map():
+    rs, group, points = regular_orbit("B2")
+    letters = poly.vertex_permutations(points, group)
+    assert poly.hull(points, letters=letters) == poly.hull(points)
+    # swapping two vertices of the octagon permutes its points, but no
+    # affine map does it: the other six would have to stay fixed
+    swap = list(range(len(points)))
+    swap[0], swap[1] = 1, 0
+    with pytest.raises(ValueError, match="no affine map"):
+        poly.hull(points, letters=letters + (tuple(swap),))
+    with pytest.raises(ValueError, match="not a permutation"):
+        poly.hull(points, letters=((0,) * len(points),))
 
 
 def test_hull_face_budget():

@@ -279,7 +279,7 @@ def test_group_matches_matrix_oracle(spec):
             hulls += 1
             p = poly.hull(images)
             expected = vertex_permutations_by_matrices(oracle, p.vertices)
-            letters = poly.vertex_permutations(p, group)
+            letters = poly.vertex_permutations(p.vertices, group)
             assert letters == tuple(
                 expected[oracle.words.index((i,))] for i in group.generator_indices
             )
@@ -365,7 +365,7 @@ def test_face_orbits_match_the_whole_group_oracle(spec, coeffs):
     points = orbit(group, x)
     assume(len(points) <= 48)  # F4's two middle coweights have 96
     p = poly.hull(points)
-    orbits = poly.faces_up_to_group(p, poly.vertex_permutations(p, group))
+    orbits = poly.faces_up_to_group(p, poly.vertex_permutations(p.vertices, group))
     assert orbits == face_orbits_by_matrices(oracle, p)
     assert all(group.order % size == 0 for _, size in orbits)
     assert sum(size for _, size in orbits) == len(p.faces) - 1
