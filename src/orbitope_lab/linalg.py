@@ -34,10 +34,6 @@ def vec(entries) -> Vec:
     return tuple(frac(x) for x in entries)
 
 
-def mat(rows) -> Mat:
-    return tuple(vec(r) for r in rows)
-
-
 def zeros(n: int) -> Vec:
     return (ZERO,) * n
 

@@ -21,6 +21,11 @@ finite differences go through ``expm``, a stacked Taylor exponential in
 numpy.  All floating point in the package is confined here; tolerances
 come in three tiers scaled by the data: 1e-9 for invariants, 1e-6 for
 matching, 1e-8 for rank cutoffs.
+
+numpy is the only dependency and only this module uses it.  It is
+imported on the first numeric call, not with the module, so the exact
+commands never load it: ``np`` starts as a stand-in that imports numpy
+and rebinds itself to it on first attribute access.
 """
 
 from __future__ import annotations
@@ -31,8 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
-
-import numpy as np
 
 from . import polytope as poly
 from .facelab import FaceDescriptor
@@ -58,6 +61,18 @@ _CHUNK = 512
 # (seed, stage, index), so no two stages share random numbers; keys keep
 # three parts because numpy pads with zeros: (s, t) is (s, t, 0).
 _HAAR, _LOCAL_MAX, _HESSIAN, _PAIRS = range(4)
+
+
+class _LazyNumpy:
+    def __getattr__(self, name):
+        global np
+        import numpy
+
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _LazyNumpy()
 
 
 def _stream(seed: int, stage: int, index: int = 0) -> np.random.Generator:

@@ -42,12 +42,9 @@ from .linalg import (
     Vec,
     cleared,
     cleared_rows,
-    dot,
     echelon,
     int_dot,
     scaled_inverse,
-    solve,
-    transpose,
     vec,
     vec_sub,
 )
@@ -78,6 +75,11 @@ class RationalPolytope:
     def cleared_vertices(self) -> tuple:
         """(D, D * vertices as integer tuples), D their least common denominator."""
         return cleared_rows(self.vertices)
+
+    @functools.cached_property
+    def face_by_vertices(self) -> dict:
+        """Each face keyed by its sorted vertex-index tuple."""
+        return {f.vertex_indices: f for f in self.faces}
 
 
 @dataclass(frozen=True)
@@ -376,7 +378,7 @@ def exposed_face(polytope: RationalPolytope, beta) -> PolytopeFace:
     whole polytope.
     """
     _, ids = support(polytope, beta)
-    return next(f for f in polytope.faces if f.vertex_indices == ids)
+    return polytope.face_by_vertices[ids]
 
 
 def face_lattice(polytope: RationalPolytope) -> tuple:
@@ -442,16 +444,3 @@ def faces_up_to_group(polytope: RationalPolytope, perms) -> tuple:
         done.update(orbit)
         out.append((f, len(orbit)))
     return tuple(out)
-
-
-def contains(polytope: RationalPolytope, point) -> bool:
-    """Exact membership test."""
-    p = vec(point)
-    if len(p) != polytope.ambient_dim:
-        raise ValueError("point has the wrong ambient dimension")
-    if polytope.dim == 0:
-        return p == polytope.origin
-    rel = vec_sub(p, polytope.origin)
-    if solve(transpose(polytope.basis), rel) is None:
-        return False
-    return all(dot(nu, p) <= c for nu, c in polytope.facets)

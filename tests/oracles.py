@@ -14,7 +14,9 @@ between these and the package is what the tests freeze.
 
 Some helpers build test data and are not oracles: ``simple_reflection``
 and ``reflect`` give exact reflections from the simple roots and the Gram
-matrix, ``matmul`` multiplies exact matrices, ``simple_coefficients``
+matrix, ``mat`` and ``matmul`` build and multiply exact matrices,
+``contains`` tests a point against a polytope's own facet inequalities
+(for comparison with ``in_convex_hull``), ``simple_coefficients``
 solves for a root's simple-root coefficients, and ``dominant_with_walls``
 picks a dominant point with a given wall set from the package's coweights.
 """
@@ -27,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from orbitope_lab.linalg import nullspace, primitive, solve, vec
+from orbitope_lab.linalg import nullspace, primitive, solve, transpose, vec, vec_sub
 from orbitope_lab.polytope import PolytopeFace, RationalPolytope
 
 
@@ -52,6 +54,11 @@ def _integers(values):
 
 def _int_matvec(m, v):
     return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
+
+
+def mat(rows):
+    """An exact matrix as a tuple of Fraction row tuples."""
+    return tuple(vec(r) for r in rows)
 
 
 def matmul(a, b):
@@ -284,6 +291,19 @@ def share_chamber_by_enumeration(group, x, y) -> bool:
 def share_chamber_by_pairings(rs, x, y) -> bool:
     """lam(x) * lam(y) >= 0 for every positive root lam, in Fractions."""
     return all(_pair(rs, lam, x) * _pair(rs, lam, y) >= 0 for lam in rs.positive_roots)
+
+
+def contains(polytope, point) -> bool:
+    """Exact membership in a polytope: on its affine hull and within its facets."""
+    p = vec(point)
+    if len(p) != polytope.ambient_dim:
+        raise ValueError("point has the wrong ambient dimension")
+    if polytope.dim == 0:
+        return p == polytope.origin
+    rel = vec_sub(p, polytope.origin)
+    if solve(transpose(polytope.basis), rel) is None:
+        return False
+    return all(_dot(nu, p) <= c for nu, c in polytope.facets)
 
 
 def in_convex_hull(points, target) -> bool:

@@ -68,6 +68,7 @@ for case, argv in cases.items():
     tracer.case = case
     status = cli.main(argv + ["--out", os.devnull])
     out[case] = dict(tracer.case_layers(case), status=status)
+    loaded.append("numpy" in sys.modules)
 out["scipy_after"] = "scipy.linalg" in sys.modules
 print(json.dumps(out))
 """
@@ -84,7 +85,9 @@ def test_traced_verify_calls_each_stage_once():
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["loaded"] == [True, False, True]
+    # numpy is loaded by the first numeric call, not by the import or by
+    # an exact verify
+    assert out["loaded"] == [False, False, True, False, True]
     assert not out["scipy_after"]
     for case, order, kostant in (("b2", 8, 0), ("sym2", 2, 1)):
         layers = out[case]

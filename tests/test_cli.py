@@ -261,16 +261,44 @@ def test_domain_errors(capsys):
     )
 
 
-def run_module(*argv):
-    """Run ``python -m orbitope_lab`` where this process finds the package."""
+def run_python(*argv):
+    """Run a fresh interpreter where this process finds the package."""
     src = os.path.dirname(os.path.dirname(orbitope_lab.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "orbitope_lab", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def run_module(*argv):
+    """Run ``python -m orbitope_lab`` where this process finds the package."""
+    return run_python("-m", "orbitope_lab", *argv)
+
+
+NUMPY_GUARD = """
+import os, sys
+from orbitope_lab.cli import main
+
+for argv in (
+    ["describe", "--system", "a2", "--x", "0,2,-2"],
+    ["polytope", "--system", "B3", "--x", "3,2,1"],
+    ["classify", "--system", "b2", "--x", "2,1"],
+    ["verify", "--system", "B3", "--coords", "weights", "--x", "1,1,1"],
+):
+    assert main(argv + ["--out", os.devnull]) == 0, argv
+assert "numpy" not in sys.modules
+argv = ["verify", "--model", "sym2", "--x", "1,-1", "--n-samples", "200"]
+assert main(argv + ["--out", os.devnull]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_only_the_numeric_path_loads_numpy():
+    proc = run_python("-c", NUMPY_GUARD)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_malformed_system_text_is_a_clean_error(capsys):

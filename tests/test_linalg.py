@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import matmul, rank
+from oracles import mat, matmul, rank
 from orbitope_lab.linalg import (
     cleared_rows,
     det,
@@ -14,7 +14,6 @@ from orbitope_lab.linalg import (
     frac,
     identity,
     inverse,
-    mat,
     matvec,
     nullspace,
     primitive,
@@ -83,13 +82,18 @@ def test_inverse_and_det():
     seen = 0
     while seen < 15:
         a = random_matrix(rng, 3, 3)
-        d = det(a)
-        if d == 0:
-            assert inverse(a) is None
+        if det(a) == 0:
+            with pytest.raises(ValueError, match="singular"):
+                inverse(a)
             continue
         inv = inverse(a)
         assert matmul(a, inv) == identity(3)
         seen += 1
+    # the third row is the sum of the first two
+    singular = mat([[1, 2, 3], [4, 5, 6], [5, 7, 9]])
+    assert det(singular) == 0
+    with pytest.raises(ValueError, match="singular"):
+        inverse(singular)
 
 
 def test_scaled_inverse_is_an_integer_multiple_of_the_inverse():
