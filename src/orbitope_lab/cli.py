@@ -158,24 +158,20 @@ def _moved_dominant(rs, group, x):
 
 
 def _orbit_polytope(rs, group, x, budget):
-    """The dominant x, the hull of its orbit, wrapped up to symmetry, and
-    the simple reflections' letters on the hull's vertex indices."""
+    """The dominant x and the hull of its orbit, wrapped up to symmetry
+    under the simple reflections' letters, with its face orbits."""
     dom = _moved_dominant(rs, group, x)
     points = weyl.orbit(group, dom.vector)
     letters = poly.vertex_permutations(points, group)
-    hull = poly.hull(points, letters=letters, budget=budget)
-    # every orbit point is a vertex, and the hull sorts them
-    order = sorted(range(len(points)), key=points.__getitem__)
-    at = {k: j for j, k in enumerate(order)}
-    return dom, hull, tuple(tuple(at[s[k]] for k in order) for s in letters)
+    return dom, poly.hull(points, letters=letters, budget=budget)
 
 
 def cmd_polytope(args) -> tuple[int, dict]:
     rs, _ = _resolve_system(args)
     x = _resolve_x(args, rs)
     group = weyl.generate(rs)
-    dom, hull, perms = _orbit_polytope(rs, group, x, args.face_budget)
-    orbits = poly.faces_up_to_group(hull, perms)
+    dom, hull = _orbit_polytope(rs, group, x, args.face_budget)
+    orbits = poly.faces_up_to_group(hull)
     # the proper faces, orbit by orbit, then the polytope itself
     by_dim = {hull.dim: 1}
     for face, size in orbits:
@@ -224,7 +220,7 @@ def cmd_verify(args) -> tuple[int, dict]:
     rs, model = _resolve_system(args)
     x = _resolve_x(args, rs)
     group = weyl.generate(rs)
-    dom, hull, perms = _orbit_polytope(rs, group, x, args.face_budget)
+    dom, hull = _orbit_polytope(rs, group, x, args.face_budget)
     descriptors = list(facelab.classify_faces(rs, group, dom.vector))
     if args.corrupt_descriptor is not None:
         if not 0 <= args.corrupt_descriptor < len(descriptors):
@@ -236,7 +232,7 @@ def cmd_verify(args) -> tuple[int, dict]:
         descriptors[args.corrupt_descriptor] = dataclasses.replace(
             target, beta=tuple(-c for c in target.beta)
         )
-    bijection = facelab.verify_bijection(rs, hull, perms, descriptors)
+    bijection = facelab.verify_bijection(rs, hull, descriptors)
     stages = [
         {
             "name": "bijection",

@@ -233,13 +233,11 @@ def descriptor_record(descriptor: FaceDescriptor) -> dict:
     }
 
 
-def verify_bijection(
-    rs: RootSystem, orbit_polytope, perms, descriptors
-) -> BijectionReport:
+def verify_bijection(rs: RootSystem, orbit_polytope, descriptors) -> BijectionReport:
     """Check the descriptors against the brute-force face lattice.
 
-    ``orbit_polytope`` is the hull of the orbit of a dominant x, ``perms``
-    the simple reflections' letters on its vertex indices, and
+    ``orbit_polytope`` is the hull of the orbit of a dominant x, built with
+    the simple reflections' letters so that it knows its face orbits, and
     ``descriptors`` are meant to be ``classify_faces`` of that x.  Three
     things must hold: the descriptor count equals the number of group
     orbits of proper faces, the witness normal of each descriptor exposes
@@ -247,7 +245,7 @@ def verify_bijection(
     to face orbits hits every orbit exactly once.  Counterexamples carry
     enough data to identify the failing descriptor or the missed orbit.
     """
-    orbits = poly.faces_up_to_group(orbit_polytope, perms)
+    orbits = poly.faces_up_to_group(orbit_polytope)
     rep_sizes = {face.vertex_indices: size for face, size in orbits}
 
     counterexamples = []
@@ -276,7 +274,7 @@ def verify_bijection(
                     ),
                 }
             )
-        rep = min(poly.face_orbit(exposed.vertex_indices, perms))
+        rep = exposed.representative
         record["orbit_representative"] = list(rep)
         record["orbit_size"] = rep_sizes.get(rep)
         hits.setdefault(rep, []).append(record["I"])

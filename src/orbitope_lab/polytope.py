@@ -10,10 +10,10 @@ the points and the symmetries it checks, so it stays an independent check
 on the root-data classification.
 
 Given letters, affine symmetries of the points such as the simple
-reflections on an orbit, the top level wraps one facet per orbit and
-closes the faces met under the letters (the adjacency decomposition of
-Bremner, Dutour Sikirić and Schürmann, arXiv:math/0702239).  A letter no
-affine map induces is refused, not trusted.
+reflections on an orbit, the top level wraps one facet per orbit and walks
+each face orbit once (the adjacency decomposition of Bremner, Dutour
+Sikirić and Schürmann, arXiv:math/0702239), keeping its representative.
+A letter no affine map induces is refused, not trusted.
 
 The integer coordinates come from clearing every denominator once.  A
 fraction-free echelon of the differences picks the affine basis, and the
@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -84,10 +85,15 @@ class RationalPolytope:
 
 @dataclass(frozen=True)
 class PolytopeFace:
-    """A face identified by the sorted indices of the vertices it contains."""
+    """A face identified by the sorted indices of the vertices it contains.
+
+    ``representative`` is the least such tuple in the face's orbit under the
+    hull's letters, the face's own without letters; == leaves it out.
+    """
 
     vertex_indices: tuple
     dim: int
+    representative: tuple = field(compare=False)
 
 
 def _cross(rows) -> tuple:
@@ -175,7 +181,7 @@ def _ridges(coords, n, tight, budget):
     k = next(j for j, x in enumerate(n) if x)
     sub, sub_faces = _wrap([coords[i][:k] + coords[i][k + 1 :] for i in tight], budget)
     out = [(w[:k] + (0,) + w[k:], c, tuple(tight[j] for j in on)) for w, c, on in sub]
-    faces = {tuple(tight[j] for j in on): dim for on, dim in sub_faces.items()}
+    faces = {tuple(tight[j] for j in on): dim for on, (dim, _) in sub_faces.items()}
     faces[tight] = d - 1
     return out, faces
 
@@ -191,34 +197,45 @@ def _normal(coords, tight):
     return tuple(x // k for x in n), b // k
 
 
+def _close(faces, letters, orbits, budget):
+    """Walk the orbit of each face of ``faces``, {point indices: dim}, not in
+    ``orbits`` yet, filing each image there as (dim, the face walked from)."""
+    for on, dim in faces.items():
+        if on not in orbits:
+            orbits.update(dict.fromkeys(face_orbit(on, letters), (dim, on)))
+            # the hull and every face closed so far
+            if 1 + len(orbits) > budget:
+                raise ValueError(f"face budget of {budget} exceeded")
+
+
 def _wrap(coords, budget, letters=()):
     """Facets (normal, offset, point indices) of a full-dimensional set of
-    distinct integer points, and its proper faces as {point indices: dim}.
-    A face's key lists every point on it, sorted, so the facets that share
-    a face give it the same key; the vertices are the faces of dim 0.
+    distinct integer points, and its proper faces, closed under the
+    ``letters``, as {point indices: (dim, root)}: root is the face its orbit
+    was walked from.  A face's key lists every point on it, sorted.
 
     Gift-wrapping: from a first facet, pivot across each ridge of each
-    facet found, skipping a facet in the orbit of one wrapped before under
-    the ``letters``; the faces met are then closed under them.  Raises
-    ValueError once more than ``budget`` faces, the hull itself included,
-    have turned up.
+    facet found, skipping a facet in an orbit walked before; the faces met
+    are then closed under the letters.  Raises ValueError once more than
+    ``budget`` faces, the hull itself included, have turned up.
     """
-    if len(coords[0]) == 1:
+    orbits = {}
+    d = len(coords[0])
+    if d == 1:
         vals = [p[0] for p in coords]
         hi, lo = vals.index(max(vals)), vals.index(min(vals))
-        faces = {(hi,): 0, (lo,): 0}
-        return [((1,), vals[hi], (hi,)), ((-1,), -vals[lo], (lo,))], faces
+        _close({(hi,): 0, (lo,): 0}, letters, orbits, budget)
+        return [((1,), vals[hi], (hi,)), ((-1,), -vals[lo], (lo,))], orbits
     found = {_first_facet(coords): ()}
     queue = list(found)
     done = set()
-    known = {}  # the point sets of the facets in the orbits wrapped
     faces = {}
     for wrapped, (n, b) in enumerate(queue, 1):
         below = [(p, b - int_dot(n, p)) for p in coords]
         found[n, b] = tight = tuple(i for i, (_, h) in enumerate(below) if not h)
-        if tight in known:
+        if tight in orbits:
             continue
-        known.update(dict.fromkeys(face_orbit(tight, letters)))
+        _close({tight: d - 1}, letters, orbits, budget)
         ridges, facet_faces = _ridges(coords, n, tight, budget)
         faces.update(facet_faces)
         below = [pair for pair in below if pair[1]]
@@ -232,16 +249,10 @@ def _wrap(coords, budget, letters=()):
         # the hull, the faces of the facets wrapped, the facets still queued
         if 1 + len(faces) + len(queue) - wrapped > budget:
             raise ValueError(f"face budget of {budget} exceeded")
-    if letters:
-        closed = {}
-        for on, dim in faces.items():
-            if on not in closed:
-                closed.update(dict.fromkeys(face_orbit(on, letters), dim))
-                if 1 + len(closed) > budget:
-                    raise ValueError(f"face budget of {budget} exceeded")
-        faces = closed
+    _close(faces, letters, orbits, budget)
     normals = {tight: nb for nb, tight in found.items()}
-    return [(normals.get(t) or _normal(coords, t)) + (t,) for t in known], faces
+    facets = [t for t, (dim, _) in orbits.items() if dim == d - 1]
+    return [(normals.get(t) or _normal(coords, t)) + (t,) for t in facets], orbits
 
 
 def _lift(rows, leads):
@@ -294,7 +305,8 @@ def hull(points, *, letters=(), budget: int = DEFAULT_FACE_BUDGET) -> RationalPo
 
     ``letters``, affine symmetries of the distinct points as permutations
     of their indices, let the top level wrap one facet per orbit; the
-    polytope is the same.  A letter no affine map induces raises ValueError.
+    polytope is the same, and each face records its orbit's representative.
+    A letter no affine map induces raises ValueError.
     """
     pts = list(dict.fromkeys(vec(p) for p in points))
     if not pts:
@@ -312,21 +324,23 @@ def hull(points, *, letters=(), budget: int = DEFAULT_FACE_BUDGET) -> RationalPo
     zs = [tuple(p[j] for j in leads) for p in ys]
     _check_letters(zs, [k + 1 for k in rows], letters)
     if d == 0:
-        vertices, facets, faces = (p0,), [], [PolytopeFace((0,), 0)]
+        vertices, facets, faces = (p0,), [], []
     else:
         red_facets, red_faces = _wrap(zs, budget, letters)
         # one positive denominator: the integer points sort as the rationals
-        order = sorted(
-            (on[0] for on, dim in red_faces.items() if not dim), key=ys.__getitem__
-        )
+        order = [on[0] for on, (dim, _) in red_faces.items() if not dim]
+        order.sort(key=ys.__getitem__)
         vertices = tuple(pts[i] for i in order)
         index = {i: k for k, i in enumerate(order)}
+        ids = [tuple(sorted(index[i] for i in on if i in index)) for on in red_faces]
+        # an orbit's representative is its least member in these indices
+        least = {}
+        for t, (_, root) in zip(ids, red_faces.values()):
+            least[root] = min(least.get(root, t), t)
         faces = [
-            PolytopeFace(tuple(sorted(index[i] for i in on if i in index)), dim)
-            for on, dim in red_faces.items()
+            PolytopeFace(t, dim, least[root])
+            for t, (dim, root) in zip(ids, red_faces.values())
         ]
-        faces.append(PolytopeFace(tuple(range(len(vertices))), d))
-        faces.sort(key=lambda f: (f.dim, f.vertex_indices))
 
         lift = _lift(list(rows.values()), leads)
         joints = []
@@ -336,8 +350,11 @@ def hull(points, *, letters=(), budget: int = DEFAULT_FACE_BUDGET) -> RationalPo
             g = math.gcd(*joint)
             joints.append((tuple(x // g for x in joint[:-1]), joint[-1] // g))
         facets = [(vec(nu), Fraction(c)) for nu, c in sorted(joints)]
+    whole = tuple(range(len(vertices)))
+    faces.append(PolytopeFace(whole, d, whole))
+    faces.sort(key=lambda f: (f.dim, f.vertex_indices))
     # _wrap stops as soon as its count passes the budget; this count also
-    # covers the point and the segment, which do not wrap
+    # covers the point, which does not wrap
     if len(faces) > budget:
         raise ValueError(f"face budget of {budget} exceeded")
 
@@ -382,13 +399,8 @@ def exposed_face(polytope: RationalPolytope, beta) -> PolytopeFace:
 
 
 def face_lattice(polytope: RationalPolytope) -> tuple:
-    """All nonempty faces, the whole polytope included, the empty face not,
-    sorted by (dim, vertex indices).
-
-    :func:`hull` collects them from its recursion into each facet's own
-    hull, closed under its letters, and checks their number against its
-    budget there.
-    """
+    """All nonempty faces, the polytope included, sorted by (dim, vertex
+    indices): the ``faces`` that :func:`hull` met and closed under its letters."""
     return polytope.faces
 
 
@@ -398,8 +410,8 @@ def vertex_permutations(points, group) -> tuple:
 
     ``perms[i][k]`` is the index of the image of point k under the
     reflection in simple root ``group.generator_indices[i]``, in integers.
-    The letters generate the group's action, so :func:`hull` and
-    :func:`faces_up_to_group` need no other element.  Raises ValueError
+    The letters generate the group's action, so :func:`hull` needs no
+    other element to sort the faces into orbits.  Raises ValueError
     when the group does not map the points onto themselves.
     """
     rs = group.root_system
@@ -425,22 +437,15 @@ def face_orbit(vertex_indices, perms) -> list:
     return orbit
 
 
-def faces_up_to_group(polytope: RationalPolytope, perms) -> tuple:
-    """Orbit representatives of the proper faces under a group.
-
-    ``perms`` are the group's generators acting on the vertex indices, as
-    returned by :func:`vertex_permutations`.  Each orbit is searched
-    breadth-first under them from the first face of it met in (dim,
-    indices) order, which is its representative: the face whose sorted
-    vertex-index tuple is lexicographically least in its orbit.  Returns
-    (face, orbit_size) pairs in that order.
-    """
-    done = set()
-    out = []
-    for f in face_lattice(polytope):
-        if f.vertex_indices in done or len(f.vertex_indices) == len(polytope.vertices):
-            continue
-        orbit = face_orbit(f.vertex_indices, perms)
-        done.update(orbit)
-        out.append((f, len(orbit)))
-    return tuple(out)
+def faces_up_to_group(polytope: RationalPolytope) -> tuple:
+    """(face, orbit size) for each orbit of proper faces under the hull's
+    letters, in (dim, indices) order, read off the faces' ``representative``:
+    each face the least sorted vertex-index tuple of its orbit."""
+    faces = face_lattice(polytope)
+    sizes = Counter(f.representative for f in faces)
+    whole = len(polytope.vertices)
+    return tuple(
+        (f, sizes[f.vertex_indices])
+        for f in faces
+        if f.representative == f.vertex_indices and len(f.vertex_indices) < whole
+    )

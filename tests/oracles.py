@@ -279,6 +279,32 @@ def face_orbits_by_matrices(group, polytope) -> tuple:
     return tuple((f, sizes[f.vertex_indices]) for f in reps)
 
 
+def face_orbits_by_walk(polytope, perms) -> tuple:
+    """(face, orbit size) for each orbit of proper faces under the group
+    that the vertex permutations ``perms`` generate.
+
+    Each orbit is walked breadth-first under the perms from the first face
+    of it met in (dim, indices) order, which is its representative: the
+    least sorted vertex-index tuple in the orbit.
+    """
+    done = set()
+    out = []
+    for f in polytope.faces:
+        if f.vertex_indices in done or len(f.vertex_indices) == len(polytope.vertices):
+            continue
+        orbit = {f.vertex_indices}
+        queue = [f.vertex_indices]
+        for ids in queue:
+            for perm in perms:
+                image = tuple(sorted(perm[i] for i in ids))
+                if image not in orbit:
+                    orbit.add(image)
+                    queue.append(image)
+        done |= orbit
+        out.append((f, len(orbit)))
+    return tuple(out)
+
+
 def share_chamber_by_enumeration(group, x, y) -> bool:
     """Some group element makes both vectors dominant at once."""
     yi = _integers(y)
@@ -430,7 +456,7 @@ def face_lattice_by_intersections(vertices, facets) -> tuple:
         ids = tuple(sorted(s))
         base = vertices[ids[0]]
         rows = [[a - b for a, b in zip(vertices[i], base)] for i in ids[1:]]
-        faces.append(PolytopeFace(ids, rank(rows)))
+        faces.append(PolytopeFace(ids, rank(rows), ids))
     return tuple(sorted(faces, key=lambda f: (f.dim, f.vertex_indices)))
 
 

@@ -49,7 +49,9 @@ def hull_for(label, x):
     key = (label, x)
     if key not in _HULLS:
         rs, group = system(label)
-        _HULLS[key] = poly.hull(orbit(group, x))
+        points = orbit(group, x)
+        letters = poly.vertex_permutations(points, group)
+        _HULLS[key] = poly.hull(points, letters=letters)
     return _HULLS[key]
 
 
@@ -89,8 +91,7 @@ def test_criterion_1_face_orbit_bijection():
         rs, group = system(label)
         descriptors = facelab.classify_faces(rs, group, x)
         p = hull_for(label, x)
-        perms = poly.vertex_permutations(p.vertices, group)
-        report = facelab.verify_bijection(rs, p, perms, descriptors)
+        report = facelab.verify_bijection(rs, p, descriptors)
         if not report.passed:
             failures.append((label, x, report.counterexamples[:1]))
     elapsed = time.monotonic() - start

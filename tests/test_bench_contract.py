@@ -98,6 +98,11 @@ def test_traced_verify_calls_each_stage_once():
         assert layers["matmodel.kostant_check.calls"] == kostant
     assert out["b2"]["polytope.hull.calls"] == 1
     assert out["b2"]["polytope.face_lattice.calls"] == 1
+    # the octagon's 8 vertices, 8 edges and itself; its orbits of proper
+    # faces are the vertices and the two classes of edges
+    assert out["b2"]["polytope.faces_up_to_group.calls"] == 1
+    assert out["b2"]["polytope.face_orbits"] == 3
+    assert out["b2"]["polytope.faces"] == 17
     assert out["b2"]["weyl.to_dominant.calls"] == 1
     # the two simple reflections' letters on the octagon's 8 vertices
     assert out["b2"]["polytope.vertex_images"] == 16

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +86,28 @@ def test_polytope_builds_the_face_lattice_once(capsys, monkeypatch):
     for face in faces:
         by_dim[str(face.dim)] = by_dim.get(str(face.dim), 0) + 1
     assert report["faces_by_dim"] == by_dim == {"0": 48, "1": 72, "2": 26, "3": 1}
+
+
+@pytest.mark.parametrize("command", ["polytope", "verify"])
+def test_each_face_orbit_is_walked_once(capsys, monkeypatch, command):
+    # regular B3 has 7 proper face orbits: the hull walks each once under
+    # the letters, and the orbit count and the bijection check read them
+    walks = []
+    face_orbit = poly.face_orbit
+
+    def counted(ids, perms):
+        if perms:
+            walks.append(ids)
+        return face_orbit(ids, perms)
+
+    monkeypatch.setattr(poly, "face_orbit", counted)
+    status, report = run_json(capsys, [command, "--system", "B3", "--x", "3,2,1"])
+    assert status == 0
+    if command == "verify":
+        orbit_count = report["stages"][0]["face_orbit_count"]
+    else:
+        orbit_count = len(report["face_orbits"])
+    assert len(walks) == orbit_count == 7
 
 
 # A1 in a plane whose Gram matrix couples the second axis to the root:
@@ -475,6 +498,14 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["system"]["weyl_order"] == 2
 
 
+def test_readme_library_example_runs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "verify_bijection" in block
+    exec(compile(block, str(readme), "exec"), {})
+
+
 def model_verify(capsys, extra):
     argv = ["verify", "--model", "sym3", "--x", "1,1,-2", "--n-samples", "10000"]
     return run_json(capsys, argv + extra)
@@ -524,6 +555,9 @@ GOLDEN_REPORTS = (
      "edd15bce7defb01ff527f045668464f55ce34defc167360f7a16773ce135c087"),
     ("polytope --system D4 --coords weights --x 1,1,0,1", 0,
      "269825ceba4c7510abee2eb570411083121cee8a3191bf3c28447b06b8d1e6ec"),
+    # regular A5: 720 vertices, 31 face orbits
+    ("verify --system A5 --coords weights --x 1,1,1,1,1", 0,
+     "6dace58da5e4d7017b0ff496e34b8c42344be9ce897da78caae9b4cfbab38161"),
 )
 
 

@@ -194,9 +194,9 @@ def bijection(rs, group, x, descriptors=None):
     """The bijection check on the orbit polytope of a dominant x."""
     if descriptors is None:
         descriptors = facelab.classify_faces(rs, group, x)
-    p = poly.hull(orbit(group, x))
-    perms = poly.vertex_permutations(p.vertices, group)
-    return facelab.verify_bijection(rs, p, perms, descriptors)
+    points = orbit(group, x)
+    p = poly.hull(points, letters=poly.vertex_permutations(points, group))
+    return facelab.verify_bijection(rs, p, descriptors)
 
 
 def test_verify_bijection_passes():
@@ -359,7 +359,8 @@ def test_face_orbits_are_counted_by_x_connected_subsets(label, data):
         if facelab.is_x_connected(rs, subset, x)
         and len(facelab.saturation(rs, subset, x)) < rs.rank
     )
-    p = poly.hull(orbit(group, x))
-    orbits = poly.faces_up_to_group(p, poly.vertex_permutations(p.vertices, group))
+    points = orbit(group, x)
+    p = poly.hull(points, letters=poly.vertex_permutations(points, group))
+    orbits = poly.faces_up_to_group(p)
     assert len(orbits) == expected
     assert sum(size for _, size in orbits) == len(poly.face_lattice(p)) - 1

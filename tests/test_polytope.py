@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from oracles import (
     contains,
     face_lattice_by_intersections,
+    face_orbits_by_walk,
     hull_by_subsets,
     in_convex_hull,
     mat,
@@ -33,7 +34,8 @@ from orbitope_lab.weyl import generate, orbit
 def orbit_hull(label, x):
     rs = build_root_system(label)
     group = generate(rs)
-    return rs, group, poly.hull(orbit(group, x))
+    points = orbit(group, x)
+    return rs, group, poly.hull(points, letters=poly.vertex_permutations(points, group))
 
 
 def test_single_point_hull():
@@ -60,7 +62,7 @@ def test_hexagon_counts():
     assert len(p.facets) == 6
     faces = poly.face_lattice(p)
     assert len(faces) == 13
-    orbits = poly.faces_up_to_group(p, poly.vertex_permutations(p.vertices, group))
+    orbits = poly.faces_up_to_group(p)
     assert sorted((f.dim, size) for f, size in orbits) == [
         (0, 6),
         (1, 3),
@@ -78,7 +80,7 @@ def test_octagon_counts():
     rs, group, p = orbit_hull("B2", (2, 1))
     assert (p.dim, len(p.vertices), len(p.facets)) == (2, 8, 8)
     assert len(poly.face_lattice(p)) == 17
-    orbits = poly.faces_up_to_group(p, poly.vertex_permutations(p.vertices, group))
+    orbits = poly.faces_up_to_group(p)
     assert sorted((f.dim, size) for f, size in orbits) == [
         (0, 8),
         (1, 4),
@@ -96,7 +98,7 @@ def test_permutohedron_counts():
     assert p.dim == 3
     assert len(p.vertices) == 24
     assert len(p.facets) == 14
-    orbits = poly.faces_up_to_group(p, poly.vertex_permutations(p.vertices, group))
+    orbits = poly.faces_up_to_group(p)
     assert len(orbits) == 7
     assert sum(size for _, size in orbits) == len(poly.face_lattice(p)) - 1
 
@@ -106,7 +108,7 @@ def test_regular_b3_counts():
     assert (len(p.vertices), len(p.facets)) == (48, 26)
     faces = poly.face_lattice(p)
     assert len(faces) == 147
-    orbits = poly.faces_up_to_group(p, poly.vertex_permutations(p.vertices, group))
+    orbits = poly.faces_up_to_group(p)
     assert len(orbits) == 7
     assert sum(size for _, size in orbits) == 146
 
@@ -442,19 +444,61 @@ def test_regular_rank5_hull_certificates_with_letters(label):
     assert Counter(f.dim for f in p.faces) == expected
 
 
+def assert_letters_hull_matches_the_plain_hull(group, points):
+    """The hull wrapped up to symmetry has the plain hull's vertices,
+    facets, faces, origin and basis (== leaves out each face's orbit
+    representative), and the face orbits a walk of the plain hull finds."""
+    p = poly.hull(points, letters=poly.vertex_permutations(points, group))
+    plain = poly.hull(points)
+    assert p == plain
+    perms = poly.vertex_permutations(plain.vertices, group)
+    assert poly.faces_up_to_group(p) == face_orbits_by_walk(plain, perms)
+
+
 @pytest.mark.parametrize("workload", ["exact-rank3", "exact-rank4"])
 def test_letters_hull_matches_the_plain_hull_on_benchmark_orbits(workload):
     for label, coeffs, points in benchmark_orbits(workload):
         group = generate(build_root_system(label))
-        letters = poly.vertex_permutations(points, group)
-        assert poly.hull(points, letters=letters) == poly.hull(points), (label, coeffs)
+        assert_letters_hull_matches_the_plain_hull(group, points)
 
 
 @pytest.mark.parametrize("label", ["A4", "B4", "C4", "D4", "F4"])
 def test_letters_hull_matches_the_plain_hull_at_regular_points(label):
     rs, group, points = regular_orbit(label)
+    assert_letters_hull_matches_the_plain_hull(group, points)
+
+
+RANK_2_AND_3 = ("A2", "B2", "C2", "BC2", "G2", "D2", "A3", "B3", "C3", "BC3", "D3")
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from(RANK_2_AND_3), st.data())
+def test_hull_face_orbits_under_any_subset_of_the_letters(label, data):
+    """For any subset of the simple reflections' letters, the empty one
+    included, the hull's face orbits are those a breadth-first walk finds,
+    each letter keeps every face in its orbit, and each representative is
+    the least member of its orbit."""
+    rs = build_root_system(label)
+    group = generate(rs)
+    coeffs = data.draw(st.lists(st.integers(0, 2), min_size=rs.rank, max_size=rs.rank))
+    assume(any(coeffs))
+    x = [sum(c * w[i] for c, w in zip(coeffs, rs.fundamental_coweights))
+         for i in range(rs.ambient_dim)]
+    points = orbit(group, x)
+    assume(len(points) <= 48)
     letters = poly.vertex_permutations(points, group)
-    assert poly.hull(points, letters=letters) == poly.hull(points)
+    chosen = data.draw(st.sets(st.integers(0, rs.rank - 1)))
+    p = poly.hull(points, letters=tuple(letters[i] for i in sorted(chosen)))
+    perms = poly.vertex_permutations(p.vertices, group)
+    perms = [perms[i] for i in sorted(chosen)]
+    assert poly.faces_up_to_group(p) == face_orbits_by_walk(p, perms)
+    members = {}
+    for f in p.faces:
+        members.setdefault(f.representative, []).append(f.vertex_indices)
+        for perm in perms:
+            image = tuple(sorted(perm[i] for i in f.vertex_indices))
+            assert p.face_by_vertices[image].representative == f.representative
+    assert all(rep == min(orbit) for rep, orbit in members.items())
 
 
 def test_hull_refuses_letters_that_are_no_affine_map():

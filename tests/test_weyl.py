@@ -364,8 +364,8 @@ def test_face_orbits_match_the_whole_group_oracle(spec, coeffs):
         x = [a + c * b for a, b in zip(x, w)]
     points = orbit(group, x)
     assume(len(points) <= 48)  # F4's two middle coweights have 96
-    p = poly.hull(points)
-    orbits = poly.faces_up_to_group(p, poly.vertex_permutations(p.vertices, group))
+    p = poly.hull(points, letters=poly.vertex_permutations(points, group))
+    orbits = poly.faces_up_to_group(p)
     assert orbits == face_orbits_by_matrices(oracle, p)
     assert all(group.order % size == 0 for _, size in orbits)
     assert sum(size for _, size in orbits) == len(p.faces) - 1
