@@ -48,7 +48,6 @@ from .rootsys import (
     RootSystem,
     build_root_system,
     is_dominant,
-    pairing,
     share_closed_chamber,
     wall_set,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "make_model",
     "matmodel",
     "orbit",
-    "pairing",
     "parabolic_subgroup",
     "polytope",
     "rootsys",

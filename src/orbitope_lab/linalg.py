@@ -7,7 +7,9 @@ polytopes).  Floating point lives in :mod:`orbitope_lab.matmodel` only.
 
 The exact layers clear denominators and work in integers: ``cleared_rows``
 puts rational points over one common denominator, ``int_dot`` pairs integer
-vectors and ``echelon`` eliminates fraction-free.  ``Fraction`` sits at the
+vectors, and ``echelon`` and ``scaled_inverse``, the one exact inverse,
+eliminate fraction-free.  ``rref`` is the one solve over ``Fraction``: a
+kernel, or the coefficients of many vectors at once.  ``Fraction`` sits at the
 boundary: parsed input, one-off root-system data, report fields and public
 return values.
 """
@@ -97,24 +99,6 @@ def rref(a) -> tuple[list, list[int]]:
     return rows, pivots
 
 
-def solve(a: Mat, b: Vec):
-    """One exact solution of ``a @ x = b`` (free variables set to 0), or None.
-
-    ``a`` has one row per equation.  Returns None when the system is
-    inconsistent.
-    """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    aug = [list(row) + [rhs] for row, rhs in zip(a, b, strict=True)]
-    rows, pivots = rref(aug)
-    if n in pivots:
-        return None
-    x = [ZERO] * n
-    for i, c in enumerate(pivots):
-        x[c] = rows[i][n]
-    return tuple(x)
-
-
 def nullspace(a) -> list[Vec]:
     """Basis of the exact kernel of a (rows are equations)."""
     m = len(a)
@@ -131,26 +115,18 @@ def nullspace(a) -> list[Vec]:
     return basis
 
 
-def inverse(a: Mat) -> Mat:
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("inverse requires a square matrix")
-    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(a)]
-    rows, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(rows[i][n:]) for i in range(n))
-
-
 def scaled_inverse(a) -> tuple[int, list]:
     """(c, c a^-1) for a nonsingular integer matrix a, c a nonzero integer:
     Gauss-Jordan elimination on [a | I] kept fraction-free (Bareiss), so
-    every division is exact and the left block ends as c I."""
+    every division is exact and the left block ends as c I.  ValueError
+    if a is singular."""
     n = len(a)
     rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
     prev = 1
     for k in range(n):
-        p = next(i for i in range(k, n) if rows[i][k])
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            raise ValueError("matrix is singular")
         rows[k], rows[p] = rows[p], rows[k]
         pivot = rows[k][k]
         for i in range(n):
@@ -187,17 +163,6 @@ def cleared(values) -> tuple[int, tuple[int, ...]]:
     fr = vec(values)
     d = lcm(*(x.denominator for x in fr))
     return d, tuple(x.numerator * (d // x.denominator) for x in fr)
-
-
-def primitive(values) -> tuple[int, ...]:
-    """Scale a rational vector by a positive rational to coprime integers.
-
-    The direction (overall sign) is preserved; the zero vector maps to
-    integer zeros.
-    """
-    ints = cleared(values)[1]
-    g = gcd(*ints)
-    return ints if g == 0 else tuple(x // g for x in ints)
 
 
 def cleared_rows(rows) -> tuple[int, tuple]:

@@ -39,7 +39,10 @@ from typing import NamedTuple
 
 from . import polytope as poly
 from .facelab import FaceDescriptor
-from .linalg import Mat, Vec, cleared, dot, frac, inverse, matvec, nullspace, transpose, vec
+from .linalg import (
+    Mat, Vec, cleared, cleared_rows, dot, frac, matvec, nullspace, scaled_inverse,
+    transpose, vec,
+)
 from .rootsys import (
     RootSystem,
     build_root_system,
@@ -268,8 +271,8 @@ def _root_spaces(model: MatrixModel) -> _RootSpaces:
     antisymmetric) acts on the root space of lambda as lambda(h)^2 and
     vanishes exactly on the Cartan centralizer, so every space is an exact
     kernel of T - lambda(h)^2.  The dimensions are checked against the root
-    system's multiplicities, then the change of basis is inverted once and
-    frozen as floats.
+    system's multiplicities, then the change of basis is cleared to integers,
+    inverted once by fraction-free elimination and frozen as floats.
     """
     rs = model.root_system
     n = model.n
@@ -316,14 +319,16 @@ def _root_spaces(model: MatrixModel) -> _RootSpaces:
 
     if len(order) != dim_k:
         raise ValueError("root spaces do not fill the Lie algebra")
-    inv = inverse(transpose(order))
+    # M^-1 = den (den M)^-1 for M = the order as columns, den its denominator
+    den, columns = cleared_rows(order)
+    scale, inv = scaled_inverse(transpose(columns))
     basis_mats = np.array(
         [
             [[float(c) for c in row] for row in _skew_from_coords(pairs, v, n)]
             for v in order
         ]
     )
-    from_coords = np.array([[float(c) for c in row] for row in inv])
+    from_coords = np.array([[float(Fraction(den * x, scale)) for x in row] for row in inv])
     return _RootSpaces(
         pairs=pairs,
         basis_mats=basis_mats,

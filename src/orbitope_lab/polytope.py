@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from . import weyl
 from .linalg import (
     Vec,
     cleared,
@@ -49,6 +48,7 @@ from .linalg import (
     vec,
     vec_sub,
 )
+from .rootsys import reflection_permutation
 
 DEFAULT_FACE_BUDGET = 100000
 
@@ -418,7 +418,7 @@ def vertex_permutations(points, group) -> tuple:
     if any(len(p) != rs.ambient_dim for p in points):
         raise ValueError("the group and the points have different dimensions")
     ints = cleared_rows(points)[1]
-    return tuple(weyl.point_permutation(rs, i, ints) for i in group.generator_indices)
+    return tuple(reflection_permutation(rs, i, ints) for i in group.generator_indices)
 
 
 def face_orbit(vertex_indices, perms) -> list:

@@ -13,17 +13,23 @@ other module reads it from there: ``roots`` and their cleared integer form
 ``integer_covectors`` for sign tests, ``simple_positions``, the simple-root
 Gram matrix, its inverse, the Cartan matrix, the fundamental coweights and
 the integer rows ``simple_steps`` by which a simple reflection moves a
-point.  The covectors, the simple-root Gram matrix and the Cartan matrix
-are computed in integers from the cleared roots and Gram matrix.  This
-module is the only one that multiplies by the Gram matrix; ``pairing`` and
-``metric_covector`` do it for vectors that are not roots.
+point.  The covectors, the simple-root Gram matrix, its inverse and the
+Cartan matrix are computed in integers from the cleared roots and Gram
+matrix.  This module is the only one that multiplies by the Gram matrix;
+``metric_covector`` does it for vectors that are not roots.
 
-Built-in catalog (all with the plain dot product, multiplicity 1):
+:func:`reflection_permutation` is the one point-level simple reflection,
+on the roots (validation reads ``simple_reflection_perms``) and on the
+vertices of an orbit polytope alike.  Simple-root coefficients come from
+one reduced row echelon form, for the positive roots or a text spec's roots.
+
+Built-in catalog (multiplicity 1, the plain dot product unless noted):
 
 * ``A<n>``   in the sum-zero hyperplane of (n+1)-space,
 * ``B<n>``, ``C<n>``, ``D<n>``, ``BC<n>`` in n-space,
 * ``G2``     in the sum-zero hyperplane of 3-space,
-* ``F4``     in 4-space.
+* ``F4``     in 4-space,
+* ``E6``     on the unit vectors of 6-space, with the Cartan matrix as Gram.
 
 ``BC<n>`` is non-reduced: ``e_i`` and ``2 e_i`` are both roots.  Multiplicity
 tables and a nonzero Cartan-centralizer dimension (used only by dimension
@@ -38,6 +44,7 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .linalg import (
     Mat,
@@ -47,16 +54,13 @@ from .linalg import (
     det,
     dot,
     echelon,
-    frac,
     identity,
     int_dot,
-    inverse,
     matvec,
     rref,
-    solve,
+    scaled_inverse,
     transpose,
     vec,
-    vec_add,
     vec_scale,
 )
 
@@ -94,9 +98,7 @@ class RootSystem:
     @functools.cached_property
     def roots(self) -> tuple:
         """All roots, positive then negative, in matching order."""
-        return self.positive_roots + tuple(
-            vec_scale(-1, r) for r in self.positive_roots
-        )
+        return self.positive_roots + tuple(vec_scale(-1, r) for r in self.positive_roots)
 
     @functools.cached_property
     def integer_roots(self) -> tuple:
@@ -151,7 +153,10 @@ class RootSystem:
 
     @functools.cached_property
     def simple_gram_inverse(self) -> Mat:
-        return inverse(self.simple_gram)
+        """The inverse of ``simple_gram``, from its integer multiple."""
+        c, inv = scaled_inverse(self._integer_simple_gram)
+        scale = self.covector_scale * self.integer_roots[0]
+        return tuple(tuple(Fraction(scale * x, c) for x in row) for row in inv)
 
     @functools.cached_property
     def simple_steps(self) -> tuple:
@@ -172,17 +177,11 @@ class RootSystem:
     @functools.cached_property
     def cartan_matrix(self) -> tuple:
         """Row i holds the integers <alpha_j, alpha_i^v> = 2 <alpha_i, alpha_j>_G /
-        <alpha_i, alpha_i>_G, so s_i(alpha_j) = alpha_j - cartan_matrix[i][j] alpha_i;
-        ValueError if one is not an integer, since s_i then leaves the roots."""
-        rows = []
-        for i, row in enumerate(self._integer_simple_gram):
-            pairs = [divmod(2 * g, row[i]) for g in row]
-            if any(r for _, r in pairs):
-                raise ValueError(
-                    "the roots are not closed under the simple reflections"
-                )
-            rows.append(tuple(q for q, _ in pairs))
-        return tuple(rows)
+        <alpha_i, alpha_i>_G, so s_i(alpha_j) = alpha_j - cartan_matrix[i][j] alpha_i.
+        Validation has checked that each s_i keeps the roots, integer
+        combinations of the simple ones, so the divisions are exact."""
+        gram = self._integer_simple_gram
+        return tuple(tuple(2 * g // row[i] for g in row) for i, row in enumerate(gram))
 
     @functools.cached_property
     def fundamental_coweights(self) -> tuple:
@@ -202,56 +201,66 @@ class RootSystem:
 
     @functools.cached_property
     def positive_coefficients(self) -> tuple:
-        """Simple-root coefficients of each positive root, in ``positive_roots`` order.
-
-        One reduced row echelon form of [simple roots | positive roots], taken
-        as columns.  The simple roots are independent, so they hold the first
-        ``rank`` pivots and each later column reads off one root's
-        coefficients; a later pivot marks a root outside their span.
-        """
-        r = self.rank
-        rows, pivots = rref(transpose(self.simple_roots + self.positive_roots))
-        if len(pivots) > r:
-            root = self.positive_roots[pivots[r] - r]
+        """Simple-root coefficients of each positive root, in ``positive_roots``
+        order, by :func:`_coefficients`; ValueError for a root off their span."""
+        coeffs = _coefficients(self.simple_roots, self.positive_roots)
+        if None in coeffs:
+            root = self.positive_roots[coeffs.index(None)]
             raise ValueError(f"{root!r} is not in the span of the simple roots")
-        return tuple(
-            tuple(row[r + k] for row in rows[:r])
-            for k in range(len(self.positive_roots))
-        )
+        return tuple(coeffs)
 
     @functools.cached_property
     def simple_reflection_perms(self) -> tuple:
         """Each simple reflection as a permutation of ``roots`` (``perm[k]`` indexes
-        the image of ``roots[k]``), or ValueError if the roots are not closed.
-
-        In simple-root coefficients s_i only subtracts sum_j c_j <alpha_j, alpha_i^v>
-        from coefficient i.  Validation has checked that the coefficients are
-        integers, so the images are looked up in integers.
-        """
-        coeffs = tuple(tuple(map(int, c)) for c in self.positive_coefficients)
-        n_pos = len(coeffs)
-        negated = tuple(tuple(-t for t in c) for c in coeffs)
-        where = {c: k for k, c in enumerate(coeffs + negated)}
-        perms = []
-        for i, cartan in enumerate(self.cartan_matrix):
-            images = [
-                where.get(c[:i] + (c[i] - int_dot(c, cartan),) + c[i + 1:])
-                for c in coeffs
-            ]
-            if None in images:
-                raise ValueError("the roots are not closed under the simple reflections")
-            # s_i(-r) = -s_i(r), and roots[k + n_pos] = -roots[k]
-            perms.append(tuple(images + [(j + n_pos) % (2 * n_pos) for j in images]))
-        return tuple(perms)
+        the image of ``roots[k]``), or ValueError if the roots are not closed:
+        :func:`reflection_permutation` on ``integer_roots``."""
+        roots = self.integer_roots[1]
+        try:
+            return tuple(reflection_permutation(self, i, roots) for i in range(self.rank))
+        except ValueError:
+            raise ValueError(
+                "the roots are not closed under the simple reflections"
+            ) from None
 
 
-def pairing(rs: RootSystem, lam: Vec, v: Vec) -> Fraction:
-    """Exact value of the root (or any covector) lam on v: <lam, v>_G."""
-    if len(lam) != rs.ambient_dim or len(v) != rs.ambient_dim:
-        raise ValueError(
-            f"dimension mismatch: expected vectors of length {rs.ambient_dim}"
-        )
-    return dot(lam, matvec(rs.inner_product, v))
+def _coefficients(simples, vectors) -> list:
+    """Each vector's coefficients over the simple roots, or None for one off
+    their span: one reduced row echelon form of [simples | vectors] as
+    columns.  A vector's column holds its coefficients on the rows of the
+    simple roots' pivots, and is in their span when it is 0 below them.
+    Dependent simple roots (text not yet validated) get no entry, as if set
+    to 0, which keeps every sign."""
+    n = len(simples)
+    rows, pivots = rref(transpose(tuple(simples) + tuple(vectors)))
+    rank = sum(c < n for c in pivots)
+    return [
+        None if any(row[k] for row in rows[rank:]) else tuple(row[k] for row in rows[:rank])
+        for k in range(n, n + len(vectors))
+    ]
+
+
+def reflection_permutation(rs: RootSystem, index: int, points) -> tuple:
+    """How the index-th simple reflection permutes a list of integer points
+    (rational points over one common denominator), by index, or ValueError.
+
+    The reflection moves a point's numerators by -p rows[index] / d, where
+    (d, rows) = ``rs.simple_steps`` and p is their pairing with the root
+    against ``integer_covectors``.  With the common factor of d and the row
+    taken out, the image is integral exactly when what is left of d
+    divides p; otherwise it is no point of the list.
+    """
+    d, steps = rs.simple_steps
+    g = gcd(d, *steps[index])
+    q, step = d // g, [s // g for s in steps[index]]
+    cov = rs.integer_covectors[rs.simple_positions[index]]
+    where = {p: k for k, p in enumerate(points)}
+    image = []
+    for p in points:
+        t, r = divmod(int_dot(cov, p), q)
+        image.append(None if r else where.get(tuple([x - t * s for x, s in zip(p, step)])))
+    if None in image:
+        raise ValueError("the group does not preserve the point set")
+    return tuple(image)
 
 
 def metric_covector(rs: RootSystem, v: Vec) -> Vec:
@@ -316,14 +325,10 @@ def _validate(rs: RootSystem) -> RootSystem:
     if len(rs.inner_product) != d or any(len(r) != d for r in rs.inner_product):
         raise ValueError("Gram matrix shape does not match the ambient dimension")
     g = rs.inner_product
-    for i in range(d):
-        for j in range(d):
-            if g[i][j] != g[j][i]:
-                raise ValueError("Gram matrix is not symmetric")
-    for k in range(1, d + 1):
-        minor = tuple(tuple(g[i][j] for j in range(k)) for i in range(k))
-        if det(minor) <= 0:
-            raise ValueError("Gram matrix is not positive definite")
+    if any(g[i][j] != g[j][i] for i in range(d) for j in range(i)):
+        raise ValueError("Gram matrix is not symmetric")
+    if any(det([row[:k] for row in g[:k]]) <= 0 for k in range(1, d + 1)):
+        raise ValueError("Gram matrix is not positive definite")
     if len(echelon(cleared_rows(rs.simple_roots)[1])) != len(rs.simple_roots):
         raise ValueError("simple roots are not linearly independent")
     if len(rs.positive_multiplicities) != len(rs.positive_roots):
@@ -372,9 +377,8 @@ def make_root_system(
     simples = tuple(vec(r) for r in simple_roots)
     d = len(simples[0]) if simples else 0
     if multiplicities is None:
-        mults = tuple(1 for _ in positives)
-    else:
-        mults = tuple(int(m) for m in multiplicities)
+        multiplicities = (1,) * len(positives)
+    mults = tuple(int(m) for m in multiplicities)
     gram = identity(d) if inner_product is None else tuple(vec(r) for r in inner_product)
     return _validate(
         RootSystem(
@@ -398,107 +402,94 @@ def check_root_count(label: str, count: int) -> None:
         )
 
 
-def _e(i: int, n: int) -> Vec:
-    return tuple(frac(1 if j == i else 0) for j in range(n))
+# E6 in Bourbaki numbering: the chain 1-3-4-5-6, with 2 joined to 4.  Its
+# positive roots as simple-root coefficients, by height.
+_E6_CARTAN = (
+    (2, 0, -1, 0, 0, 0), (0, 2, 0, -1, 0, 0), (-1, 0, 2, -1, 0, 0),
+    (0, -1, -1, 2, -1, 0), (0, 0, 0, -1, 2, -1), (0, 0, 0, 0, -1, 2),
+)
+_E6_POSITIVE = (
+    "100000 010000 001000 000100 000010 000001 101000 010100 001100 000110 000011 "
+    "101100 011100 010110 001110 000111 111100 101110 011110 010111 001111 111110 "
+    "101111 011210 011111 111210 111111 011211 112210 111211 011221 112211 111221 "
+    "112221 112321 122321"
+)
 
 
 def _catalog(label: str) -> RootSystem:
+    """The catalog system of a label, its roots written as integer tuples
+    (F4's halves as ``Fraction``) in a fixed order."""
+    if label == "E6":
+        simples = tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
+        positives = tuple(tuple(map(int, c)) for c in _E6_POSITIVE.split())
+        return make_root_system(simples, positives, inner_product=_E6_CARTAN, label="E6")
     if label == "G2":
-        a1 = vec((1, -1, 0))
-        a2 = vec((-2, 1, 1))
-        positives = (
-            a1,
-            a2,
-            vec_add(a1, a2),
-            vec_add(vec_scale(2, a1), a2),
-            vec_add(vec_scale(3, a1), a2),
-            vec_add(vec_scale(3, a1), vec_scale(2, a2)),
-        )
-        return make_root_system((a1, a2), positives, label="G2")
+        simples = ((1, -1, 0), (-2, 1, 1))
+        # a1, a2, a1 + a2, 2 a1 + a2, 3 a1 + a2, 3 a1 + 2 a2
+        positives = simples + ((-1, 0, 1), (0, -1, 1), (1, -2, 1), (-1, -1, 2))
+        return make_root_system(simples, positives, label="G2")
     if label == "F4":
-        n = 4
-        simples = (
-            vec((0, 1, -1, 0)),
-            vec((0, 0, 1, -1)),
-            vec((0, 0, 0, 1)),
-            vec((Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2))),
-        )
-        positives = [_e(i, n) for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                positives.append(vec_sub_pair(_e(i, n), _e(j, n), 1))
-                positives.append(vec_sub_pair(_e(i, n), _e(j, n), -1))
-        for s2 in (1, -1):
-            for s3 in (1, -1):
-                for s4 in (1, -1):
-                    positives.append(
-                        vec_scale(
-                            Fraction(1, 2),
-                            vec((1, s2, s3, s4)),
-                        )
-                    )
+        h = Fraction(1, 2)
+        simples = ((0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1), (h, -h, -h, -h))
+        positives = [_unit_sum(4, i) for i in range(4)]
+        for i in range(4):
+            for j in range(i + 1, 4):
+                positives += [_unit_sum(4, i, j), _unit_sum(4, i, j, -1)]
+        positives += [
+            (h, s2, s3, s4) for s2 in (h, -h) for s3 in (h, -h) for s4 in (h, -h)
+        ]
         return make_root_system(simples, tuple(positives), label="F4")
     m = _LABEL_RE.match(label)
     if not m:
         raise ValueError(f"malformed root system label {label!r}")
-    family, n_str = m.group(1), m.group(2)
-    n = int(n_str)
+    family, n = m.group(1), int(m.group(2))
     counts = {
         "A": n * (n + 1) // 2, "B": n * n, "C": n * n, "D": n * (n - 1),
         "BC": n * (n + 1),
     }
     check_root_count(label, counts[family])
+    amb = n + 1 if family == "A" else n  # A<n> sits in (n+1)-space
+    diffs = [_unit_sum(amb, i, j, -1) for i in range(amb) for j in range(i + 1, amb)]
+    chain = tuple(_unit_sum(amb, i, i + 1, -1) for i in range(amb - 1))
     if family == "A":
-        amb = n + 1
-        simples = tuple(vec_sub_pair(_e(i, amb), _e(i + 1, amb), -1) for i in range(n))
-        positives = tuple(
-            vec_sub_pair(_e(i, amb), _e(j, amb), -1)
-            for i in range(amb)
-            for j in range(i + 1, amb)
-        )
-        return make_root_system(simples, positives, label=label)
+        return make_root_system(chain, tuple(diffs), label=label)
     if family == "D" and n < 2:
         raise ValueError("D-type needs rank at least 2")
-    diffs = [
-        vec_sub_pair(_e(i, n), _e(j, n), -1) for i in range(n) for j in range(i + 1, n)
-    ]
-    sums = [
-        vec_sub_pair(_e(i, n), _e(j, n), 1) for i in range(n) for j in range(i + 1, n)
-    ]
-    shorts = [_e(i, n) for i in range(n)]
-    longs = [vec_scale(2, _e(i, n)) for i in range(n)]
-    chain = tuple(vec_sub_pair(_e(i, n), _e(i + 1, n), -1) for i in range(n - 1))
+    sums = [_unit_sum(n, i, j) for i in range(n) for j in range(i + 1, n)]
+    shorts = [_unit_sum(n, i) for i in range(n)]
+    longs = [_unit_sum(n, i, i) for i in range(n)]
     if family == "B":
-        simples = chain + (_e(n - 1, n),)
+        simples = chain + (shorts[-1],)
         positives = tuple(diffs + sums + shorts)
     elif family == "C":
-        simples = chain + (vec_scale(2, _e(n - 1, n)),)
+        simples = chain + (longs[-1],)
         positives = tuple(diffs + sums + longs)
     elif family == "D":
-        simples = chain + (vec_sub_pair(_e(n - 2, n), _e(n - 1, n), 1),)
+        simples = chain + (_unit_sum(n, n - 2, n - 1),)
         positives = tuple(diffs + sums)
     else:  # BC
-        simples = chain + (_e(n - 1, n),)
+        simples = chain + (shorts[-1],)
         positives = tuple(diffs + sums + shorts + longs)
     return make_root_system(simples, positives, label=label)
 
 
-def vec_sub_pair(u: Vec, v: Vec, sign: int) -> Vec:
-    """u + sign*v; tiny helper for catalog construction."""
-    return vec_add(u, vec_scale(sign, v))
+def _unit_sum(n: int, i: int, j: int | None = None, sign: int = 1) -> tuple:
+    """e_i + sign e_j (e_i alone when j is None) in n-space, in integers."""
+    return tuple(int(k == i) + sign * (k == j) for k in range(n))
 
 
 def build_root_system(spec: str) -> RootSystem:
     """Build a root system from a catalog label, a file path, or literal text.
 
-    Labels: ``A<n>``, ``B<n>``, ``C<n>``, ``D<n>``, ``BC<n>``, ``G2``, ``F4``.
+    Labels: ``A<n>``, ``B<n>``, ``C<n>``, ``D<n>``, ``BC<n>``, ``G2``, ``F4``,
+    ``E6``.
     Anything containing a newline is parsed as the text format; anything else
     is treated as a path to a text-format file.
     """
     if not isinstance(spec, str) or not spec.strip():
         raise ValueError("empty root system spec")
     s = spec.strip().upper()
-    if s in ("G2", "F4") or _LABEL_RE.match(s):
+    if s in ("G2", "F4", "E6") or _LABEL_RE.match(s):
         return _catalog(s)
     if "\n" in spec:
         return root_system_from_text(spec)
@@ -607,14 +598,10 @@ def root_system_from_text(text: str) -> RootSystem:
             )
         table[r] = m
 
-    coeff_matrix = tuple(
-        tuple(alpha[i] for alpha in simples) for i in range(ambient)
-    )
     positives: list[Vec] = []
     mults: list[int] = []
     negatives: dict[Vec, int] = {}
-    for r, m in table.items():
-        coeffs = solve(coeff_matrix, r)
+    for (r, m), coeffs in zip(table.items(), _coefficients(simples, tuple(table))):
         if coeffs is None:
             raise ValueError(
                 "root system text: a listed root is outside the simple-root span"
@@ -656,9 +643,6 @@ def root_system_to_text(rs: RootSystem) -> str:
         lines.append(f"centralizer {rs.centralizer_dim}")
     for a in rs.simple_roots:
         lines.append("simple " + " ".join(str(x) for x in a))
-    for r, m in zip(rs.positive_roots, rs.positive_multiplicities):
+    for r, m in zip(rs.roots, rs.positive_multiplicities * 2):
         lines.append("root " + " ".join(str(x) for x in r) + f" mult {m}")
-    for r, m in zip(rs.positive_roots, rs.positive_multiplicities):
-        neg = vec_scale(-1, r)
-        lines.append("root " + " ".join(str(x) for x in neg) + f" mult {m}")
     return "\n".join(lines) + "\n"

@@ -6,13 +6,14 @@ subgroup); no element is ever listed.  Everything runs on the vector of
 simple pairings p_j = <alpha_j, y>_G, kept as integers (a point with its
 denominators cleared, against ``rs.integer_covectors``): reflecting in
 alpha_i sends p_j to p_j - p_i * cartan[i][j] and moves the point's
-numerators by -p_i rows[i] / d, (d, rows) = ``rs.simple_steps``.  ``orbit``
-moves each point once from its parent in the walk.  The
+numerators by -p_i rows[i] / d, (d, rows) = ``rs.simple_steps``, the step
+that ``rootsys.reflection_permutation`` takes on a list of points.  The
 part of a point orthogonal to the roots is fixed by the group, so within
 one orbit the pairings determine the point.  ``orbit`` walks them
-breadth-first from x; the order of a group is the orbit size of a regular
-point (W acts simply transitively on the chambers); ``to_dominant``
-descends along negative pairings.
+breadth-first from x, moving each point once from its parent; the order
+of a group is the orbit size of a regular point (W acts simply
+transitively on the chambers); ``to_dominant`` descends along negative
+pairings.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .linalg import Vec, cleared, int_dot, primitive
+from .linalg import Vec, cleared
 from .rootsys import RootSystem, simple_pairings
 
 DEFAULT_ORDER_CAP = 51840
@@ -41,30 +42,6 @@ class WeylGroup:
         """The number of elements: the orbit size of the point whose simple
         pairings are all 1, which no reflection of the group fixes."""
         return len(_walk(self, (1,) * self.root_system.rank))
-
-
-def point_permutation(rs: RootSystem, index: int, points) -> tuple:
-    """How the index-th simple reflection permutes a list of integer points
-    (rational points cleared over one common denominator), or ValueError.
-
-    With c the root's row of ``rs.integer_covectors`` and a the primitive
-    integer multiple of the root, s(y) = y - 2 <c, y> / <c, a> * a.  As a is
-    primitive, the image is integral exactly when <c, a> divides 2 <c, y>;
-    otherwise it is no point of the list.
-    """
-    cov = rs.integer_covectors[rs.simple_positions[index]]
-    alpha = primitive(rs.simple_roots[index])
-    norm = int_dot(cov, alpha)
-    where = {p: k for k, p in enumerate(points)}
-    image = []
-    for p in points:
-        t, r = divmod(2 * int_dot(cov, p), norm)
-        image.append(
-            None if r else where.get(tuple(x - t * a for x, a in zip(p, alpha)))
-        )
-    if None in image:
-        raise ValueError("the group does not preserve the point set")
-    return tuple(image)
 
 
 def generate(rs: RootSystem, *, order_cap: int = DEFAULT_ORDER_CAP) -> WeylGroup:

@@ -19,6 +19,10 @@ matrix, ``mat`` and ``matmul`` build and multiply exact matrices,
 (for comparison with ``in_convex_hull``), ``simple_coefficients``
 solves for a root's simple-root coefficients, and ``dominant_with_walls``
 picks a dominant point with a given wall set from the package's coweights.
+``pairing``, ``solve``, ``inverse`` and ``primitive`` are the plain
+``Fraction`` references for what the package does in integers (its
+``integer_covectors``, one shared reduced row echelon form, the
+fraction-free ``scaled_inverse``, and ``simple_steps``).
 """
 
 import math
@@ -29,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from orbitope_lab.linalg import nullspace, primitive, solve, transpose, vec, vec_sub
+from orbitope_lab.linalg import cleared, nullspace, rref, transpose, vec, vec_sub
 from orbitope_lab.polytope import PolytopeFace, RationalPolytope
 
 
@@ -37,9 +41,13 @@ def _dot(u, v):
     return sum(Fraction(a) * Fraction(b) for a, b in zip(u, v))
 
 
-def _pair(rs, lam, v):
-    gv = [_dot(row, v) for row in rs.inner_product]
-    return _dot(lam, gv)
+def pairing(rs, lam, v):
+    """Exact value of the root (or any covector) lam on v: <lam, v>_G."""
+    if len(lam) != rs.ambient_dim or len(v) != rs.ambient_dim:
+        raise ValueError(
+            f"dimension mismatch: expected vectors of length {rs.ambient_dim}"
+        )
+    return _dot(lam, _matvec(rs.inner_product, v))
 
 
 def _matvec(m, v):
@@ -64,6 +72,47 @@ def mat(rows):
 def matmul(a, b):
     """Product of exact matrices given as row tuples."""
     return tuple(tuple(_dot(row, col) for col in zip(*b)) for row in a)
+
+
+def solve(a, b):
+    """One exact solution of ``a @ x = b`` (free variables set to 0), or None.
+
+    ``a`` has one row per equation.  Returns None when the system is
+    inconsistent.
+    """
+    n = len(a[0]) if a else 0
+    rows, pivots = rref([list(row) + [rhs] for row, rhs in zip(a, b, strict=True)])
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        x[c] = rows[i][n]
+    return tuple(x)
+
+
+def inverse(a):
+    """The exact inverse of a square matrix, by Gauss-Jordan over Fraction."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("inverse requires a square matrix")
+    rows, pivots = rref(
+        [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    )
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(rows[i][n:]) for i in range(n))
+
+
+def primitive(values) -> tuple:
+    """Scale a rational vector by a positive rational to coprime integers.
+
+    The direction (overall sign) is preserved; the zero vector maps to
+    integer zeros.
+    """
+    ints = cleared(values)[1]
+    g = math.gcd(*ints)
+    return ints if g == 0 else tuple(x // g for x in ints)
 
 
 def simple_coefficients(rs, root) -> tuple:
@@ -93,7 +142,7 @@ def simple_reflection(rs, index):
 def reflect(rs, index, v):
     """Reflection in the index-th simple root a: v - 2 a(v) / <a, a>_G * a."""
     alpha = rs.simple_roots[index]
-    c = 2 * _pair(rs, alpha, v) / _pair(rs, alpha, alpha)
+    c = 2 * pairing(rs, alpha, v) / pairing(rs, alpha, alpha)
     return tuple(x - c * a for x, a in zip(v, alpha, strict=True))
 
 
@@ -123,7 +172,7 @@ def dominant_with_walls(rs, wall_indices):
 
 
 def dominant_by_pairings(rs, v) -> bool:
-    return all(_pair(rs, alpha, v) >= 0 for alpha in rs.simple_roots)
+    return all(pairing(rs, alpha, v) >= 0 for alpha in rs.simple_roots)
 
 
 class MatrixGroup(NamedTuple):
@@ -316,7 +365,7 @@ def share_chamber_by_enumeration(group, x, y) -> bool:
 
 def share_chamber_by_pairings(rs, x, y) -> bool:
     """lam(x) * lam(y) >= 0 for every positive root lam, in Fractions."""
-    return all(_pair(rs, lam, x) * _pair(rs, lam, y) >= 0 for lam in rs.positive_roots)
+    return all(pairing(rs, lam, x) * pairing(rs, lam, y) >= 0 for lam in rs.positive_roots)
 
 
 def contains(polytope, point) -> bool:

@@ -167,6 +167,21 @@ def test_verify_with_model(capsys):
     assert model_stage["report"]["passed"] is True
 
 
+def test_e6_first_coweight_is_gosset_2_21(capsys):
+    """The E6 orbit of the first fundamental coweight is Gosset's 2_21: 27
+    vertices, 216 edges, 720 triangles, 1080 tetrahedra, 648 4-simplices
+    and 27 + 72 facets, and the bijection check passes on it."""
+    argv = ["--system", "E6", "--coords", "weights", "--x", "1,0,0,0,0,0"]
+    status, report = run_json(capsys, ["polytope"] + argv)
+    assert status == 0
+    assert report["faces_by_dim"] == {
+        "0": 27, "1": 216, "2": 720, "3": 1080, "4": 648, "5": 99, "6": 1
+    }
+    status, report = run_json(capsys, ["verify"] + argv)
+    assert status == 0
+    assert report["passed"] is True
+
+
 def test_verify_normalizes_x(capsys):
     # a W-moved x is verified at its dominant representative
     _, report = run_json(capsys, ["verify", "--system", "a2", "--x", "2,0,-2"])

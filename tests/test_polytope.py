@@ -19,11 +19,12 @@ from oracles import (
     hull_by_subsets,
     in_convex_hull,
     mat,
+    primitive,
     rank,
 )
 from orbitope_lab import polytope as poly
 from orbitope_lab.facelab import parabolic_subgroup
-from orbitope_lab.linalg import nullspace, primitive
+from orbitope_lab.linalg import nullspace
 from orbitope_lab.rootsys import (
     build_root_system,
     metric_covector,

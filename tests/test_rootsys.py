@@ -1,5 +1,6 @@
 """Root system construction, pairings, chambers, and the text format."""
 
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 from oracles import (
     dominant_with_walls,
+    inverse,
     matmul,
+    pairing,
     reflect,
     simple_coefficients,
     simple_reflection,
@@ -20,17 +23,16 @@ from orbitope_lab.linalg import (
     cleared,
     det,
     identity,
-    inverse,
     int_dot,
     matvec,
     transpose,
 )
+from orbitope_lab.weyl import generate
 from orbitope_lab.rootsys import (
     build_root_system,
     is_dominant,
     make_root_system,
     metric_covector,
-    pairing,
     root_system_from_text,
     root_system_to_text,
     share_closed_chamber,
@@ -412,3 +414,73 @@ def test_positive_coefficients_reject_a_root_outside_the_span():
     message = f"^{re.escape(repr(off))} is not in the span of the simple roots$"
     with pytest.raises(ValueError, match=message):
         make_root_system((one,), (one, off, (Fraction(2), Fraction(0), Fraction(0))))
+
+
+# sha256 over root_system_to_text of every catalog label below, so that the
+# catalog's roots, their order and the Gram matrices stay put.
+DIGEST_LABELS = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 7)]
+    + [f"C{n}" for n in range(2, 7)] + [f"D{n}" for n in range(2, 7)]
+    + [f"BC{n}" for n in range(1, 7)] + ["G2", "F4"]
+)
+CATALOG_DIGEST = "c33a0ac1bf87f226764f01121cbc3f5774d2e6ab0b23ec5f6541b65311eb24fd"
+
+
+def test_catalog_text_is_pinned():
+    digest = hashlib.sha256()
+    for label in DIGEST_LABELS:
+        digest.update(root_system_to_text(build_root_system(label)).encode("utf-8"))
+    assert digest.hexdigest() == CATALOG_DIGEST
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("simple 1 0\nroot 1 0\nroot 0 1\n", "a listed root is outside the simple-root span"),
+        ("simple 1 0\nsimple 0 1\nroot 1 0\nroot 0 1\nroot 1 -1\n",
+         "a listed root is neither positive nor negative"),
+        ("simple 1 0\nsimple 0 1\nroot 1 0\nroot 0 1\nroot -1 -1\n",
+         "root list is not closed under negation"),
+        ("simple 1 0\nroot 1 0 mult 2\nroot -1 0 mult 1\n",
+         "multiplicity table inconsistent under negation"),
+        # the first root is neither positive nor negative, the second off the span
+        ("simple 1 0 0\nsimple 0 1 0\nroot 1 -1 0\nroot 0 0 1\n",
+         "a listed root is neither positive nor negative"),
+        # dependent simple roots are refused once every root is classified
+        ("simple 1 0\nsimple 2 0\nroot 1 0\nroot 2 0\nroot -1 0\n",
+         "simple roots are not linearly independent"),
+    ],
+)
+def test_text_root_classification_errors(text, message):
+    ambient = len(text.split("\n")[0].split()) - 1
+    with pytest.raises(ValueError, match=f"^(root system text: )?{re.escape(message)}$"):
+        root_system_from_text(f"ambient {ambient}\n" + text)
+
+
+@pytest.mark.parametrize(
+    ("simples", "positives", "message"),
+    [
+        # a simple root missing from the positive roots
+        (((1, 0), (0, 1)), ((1, 0), (1, 1)), "every simple root must be listed"),
+        (((1, 0), (0, 1)), ((1, 0), (0, 1), (-1, 1)), "nonnegative integer combination"),
+        (((1, 0), (0, 1)), ((1, 0), (0, 1), (1, 1), (-1, -1)), "a root and its negation"),
+        (((1, 0), (2, 0)), ((1, 0), (2, 0)), "not linearly independent"),
+        # 2 <a1, a2> / <a2, a2> = -2/5: s_1 sends a2 to a2 + 2 a1, no root
+        (((1, 0), (-1, 2)), ((1, 0), (-1, 2)), "closed under the simple reflections"),
+    ],
+)
+def test_validation_keeps_its_error_for_each_defect(simples, positives, message):
+    with pytest.raises(ValueError, match=message):
+        make_root_system(simples, positives)
+
+
+def test_e6_catalog_label():
+    """E6 on the unit vectors of 6-space with its Cartan matrix as Gram:
+    36 positive roots up to 122321, and |W(E6)| = 51840."""
+    rs = build_root_system("e6")
+    assert (rs.label, rs.rank, rs.ambient_dim) == ("E6", 6, 6)
+    assert len(rs.positive_roots) == 36
+    assert rs.simple_gram == rs.inner_product == tuple(map(tuple, rs.cartan_matrix))
+    assert max(rs.positive_coefficients, key=sum) == (1, 2, 2, 3, 2, 1)
+    assert len(set(rs.roots)) == 72
+    assert generate(rs).order == 51840

@@ -17,12 +17,13 @@ from oracles import (
     matrix_group,
     orbit_by_matrices,
     parabolic_elements,
+    reflect,
     share_chamber_by_pairings,
     simple_reflection,
     vertex_permutations_by_matrices,
 )
 from orbitope_lab import polytope as poly
-from orbitope_lab import weyl
+from orbitope_lab import rootsys, weyl
 from orbitope_lab.facelab import parabolic_subgroup
 from orbitope_lab.linalg import cleared_rows, identity, matvec, transpose
 from orbitope_lab.rootsys import (
@@ -121,7 +122,7 @@ def test_simple_reflections_are_isometric_involutions():
 
 def test_generate_reads_the_cached_root_permutations(monkeypatch):
     """Building a system permutes its roots; generating W reflects nothing."""
-    permute = weyl.point_permutation
+    permute = rootsys.reflection_permutation
     calls = []
 
     def counting(*args):
@@ -130,7 +131,7 @@ def test_generate_reads_the_cached_root_permutations(monkeypatch):
 
     for spec, order in (("B3", 48), ("F4", 1152), (SKEW_G2, 12)):
         rs = build_root_system(spec)
-        monkeypatch.setattr(weyl, "point_permutation", counting)
+        monkeypatch.setattr(rootsys, "reflection_permutation", counting)
         assert weyl.generate(rs).order == order
         monkeypatch.undo()
     assert calls == []
@@ -323,7 +324,9 @@ def test_orbits_match_the_oracle_as_sets(spec, coords, mask):
 def test_integer_letters_match_the_matrix_oracle(spec, coords):
     """A simple reflection's letter, found on the orbit cleared to integers,
     is how the oracle's reflection matrix permutes the orbit; dropping a
-    point that the group moves leaves a set some letter does not preserve."""
+    point that the group moves leaves a set some letter does not preserve.
+    On ``integer_roots`` the same step gives ``simple_reflection_perms``,
+    the permutation the oracle's ``reflect`` makes of the roots."""
     rs, group, oracle = groups(spec)
     points = orbit_by_matrices(oracle, coords[: rs.ambient_dim])
     ints = cleared_rows(points)[1]
@@ -331,15 +334,20 @@ def test_integer_letters_match_the_matrix_oracle(spec, coords):
     for letter in range(rs.rank):
         element = oracle.words.index((letter,))
         expected = tuple(where[image(oracle, element, p)] for p in points)
-        assert weyl.point_permutation(rs, letter, ints) == expected
+        assert rootsys.reflection_permutation(rs, letter, ints) == expected
     if len(points) > 1:
         failures = 0
         for letter in range(rs.rank):
             try:
-                weyl.point_permutation(rs, letter, ints[1:])
+                rootsys.reflection_permutation(rs, letter, ints[1:])
             except ValueError:
                 failures += 1
         assert failures
+    roots = rs.integer_roots[1]
+    for letter in range(rs.rank):
+        perm = rootsys.reflection_permutation(rs, letter, roots)
+        assert perm == rs.simple_reflection_perms[letter]
+        assert [rs.roots[j] for j in perm] == [reflect(rs, letter, r) for r in rs.roots]
 
 
 @pytest.mark.parametrize(
@@ -374,9 +382,9 @@ def test_face_orbits_match_the_whole_group_oracle(spec, coeffs):
 def test_integer_letter_off_the_lattice_is_refused():
     # s_4 in F4 maps e_1 to (1/2, 1/2, 1/2, 1/2), off the integer points
     rs = build_root_system("F4")
-    assert weyl.point_permutation(rs, 2, [(1, 0, 0, 0), (-1, 0, 0, 0)]) == (0, 1)
+    assert rootsys.reflection_permutation(rs, 2, [(1, 0, 0, 0), (-1, 0, 0, 0)]) == (0, 1)
     with pytest.raises(ValueError, match="does not preserve"):
-        weyl.point_permutation(rs, 3, [(1, 0, 0, 0)])
+        rootsys.reflection_permutation(rs, 3, [(1, 0, 0, 0)])
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
