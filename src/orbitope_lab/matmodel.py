@@ -16,11 +16,12 @@ group SO(n) acting by conjugation:
 The exact side of every computation (root systems, Weyl orbits, polytopes,
 face descriptors) lives in the other modules.  This module turns Cartan
 coordinate vectors into matrices, samples group orbits Haar-uniformly,
-and compares numeric measurements against the exact predictions; its
-finite differences go through ``expm``, a stacked Taylor exponential in
-numpy.  All floating point in the package is confined here; tolerances
-come in three tiers scaled by the data: 1e-9 for invariants, 1e-6 for
-matching, 1e-8 for rank cutoffs.
+and compares numeric measurements against the exact predictions.  The
+local-max sweep reads exact second derivatives from commutators; the
+Hessian stage's finite differences go through ``expm``, a stacked Taylor
+exponential in numpy.  All floating point in the package is confined
+here; tolerances come in three tiers scaled by the data: 1e-9 for
+invariants, 1e-6 for matching, 1e-8 for rank cutoffs.
 
 numpy is the only dependency and only this module uses it.  It is
 imported on the first numeric call, not with the module, so the exact
@@ -228,27 +229,16 @@ def project(model: MatrixModel, y: np.ndarray) -> np.ndarray:
     return (upper - lower) / 2.0
 
 
-def _skew_from_coords(pairs, coords, n):
-    out = [[frac(0)] * n for _ in range(n)]
-    for (i, j), c in zip(pairs, coords):
-        out[i][j] = frac(c)
-        out[j][i] = -frac(c)
-    return tuple(tuple(r) for r in out)
-
-
-def _bracket(a, b, n):
-    """Exact [a, b] = ab - ba, summing only over the nonzero entries of a."""
-    rows = [[k for k in range(n) if a[i][k]] for i in range(n)]
-    cols = [[k for k in range(n) if a[k][j]] for j in range(n)]
-    zero = frac(0)
-    return tuple(
-        tuple(
-            sum((a[i][k] * b[k][j] for k in rows[i]), zero)
-            - sum((b[i][k] * a[k][j] for k in cols[j]), zero)
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+def _bracket(h: dict, m: dict) -> dict:
+    """Exact [h, m] of sparse matrices {(row, col): value}, over h's nonzeros."""
+    out = {}
+    for (i, k), a in h.items():
+        for (r, c), v in m.items():
+            if k == r:
+                out[i, c] = out.get((i, c), 0) + a * v
+            if c == i:
+                out[r, k] = out.get((r, k), 0) - v * a
+    return out
 
 
 class _RootSpaces(NamedTuple):
@@ -269,37 +259,46 @@ def _root_spaces(model: MatrixModel) -> _RootSpaces:
     distinct positive integers.  The operator T = sign * ad(h)^2 (sign +1
     for the symmetric model, -1 for the skew one, where h itself is
     antisymmetric) acts on the root space of lambda as lambda(h)^2 and
-    vanishes exactly on the Cartan centralizer, so every space is an exact
-    kernel of T - lambda(h)^2.  The dimensions are checked against the root
-    system's multiplicities, then the change of basis is cleared to integers,
-    inverted once by fraction-free elimination and frozen as floats.
+    vanishes exactly on the Cartan centralizer.  T is built sparse from h
+    cleared to integers, and each space is the exact kernel of
+    T - lambda(h)^2 on the blocks of T's pattern (1 x 1 for sym, at most
+    2 x 2 for skew), merged in free-column order as one rref of T would
+    give it.  The dimensions are checked against the multiplicities, then
+    the change of basis, block diagonal too, is inverted block by block by
+    fraction-free elimination and frozen as floats.
     """
     rs = model.root_system
     n = model.n
     # the standard basis E_ij - E_ji of so(n), i < j
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    dim_k = len(pairs)
+    where = {p: a for a, p in enumerate(pairs)}
     sign = 1 if model.kind == "sym" else -1
     b = 1 + max(c for coeffs in rs.positive_coefficients for c in coeffs)
     # h = sum_j y_j alpha_j with alpha_j(h) = (simple_gram y)_j = b^j
     y = matvec(rs.simple_gram_inverse, tuple(b**j for j in range(rs.rank)))
-    h = matvec(transpose(rs.simple_roots), y)
+    h = cleared(matvec(transpose(rs.simple_roots), y))[1]
     hm = embed_exact(model, h)
-    columns = []
-    for a in range(dim_k):
-        unit = _skew_from_coords(pairs, [int(t == a) for t in range(dim_k)], n)
-        image = _bracket(hm, _bracket(hm, unit, n), n)
-        columns.append([sign * image[i][j] for (i, j) in pairs])
-    op = transpose(columns)
+    hm = {(i, j): int(c) for i, row in enumerate(hm) for j, c in enumerate(row) if c}
+    # T as sparse columns {row: value}, and the block of each basis element
+    op, block_of = [], {}
+    for a, (i, j) in enumerate(pairs):
+        image = _bracket(hm, _bracket(hm, {(i, j): 1, (j, i): -1}))
+        op.append({where[r, c]: sign * v for (r, c), v in image.items() if r < c and v})
+        block = set().union(*(block_of.get(r, {r}) for r in (a, *op[a])))
+        block_of.update(dict.fromkeys(block, block))
+    # value -> [(free column, block, kernel vector on the block)]
+    kernels = {v: [] for v in [frac(0)] + [dot(lam, h) ** 2 for lam in rs.covectors]}
+    for block in {tuple(sorted(block)) for block in block_of.values()}:
+        for value, spaces in kernels.items():
+            # value is a Fraction, so every entry is and rref divides exactly
+            t = [[op[c].get(r, 0) - value * (r == c) for c in block] for r in block]
+            # the free column of an rref kernel vector is its last nonzero
+            for v in nullspace(t):
+                spaces.append((block[max(k for k, c in enumerate(v) if c)], block, v))
 
-    order = []
-    block_slices = []
+    order, block_slices = [], []
     for lam, mult in zip(rs.covectors, rs.positive_multiplicities):
-        value = dot(lam, h) ** 2
-        space = nullspace(
-            [[c - value if a == k else c for a, c in enumerate(row)]
-             for k, row in enumerate(op)]
-        )
+        space = sorted(kernels[dot(lam, h) ** 2])
         if len(space) != mult:
             raise ValueError(
                 f"root-space dimension {len(space)} does not match the "
@@ -308,7 +307,7 @@ def _root_spaces(model: MatrixModel) -> _RootSpaces:
         block_slices.append(slice(len(order), len(order) + mult))
         order.extend(space)
 
-    center = nullspace(op)
+    center = sorted(kernels[0])
     if len(center) != rs.centralizer_dim:
         raise ValueError(
             f"Cartan centralizer dimension {len(center)} does not match the "
@@ -317,25 +316,23 @@ def _root_spaces(model: MatrixModel) -> _RootSpaces:
     zero_slice = slice(len(order), len(order) + len(center))
     order.extend(center)
 
-    if len(order) != dim_k:
+    if len(order) != len(pairs):
         raise ValueError("root spaces do not fill the Lie algebra")
-    # M^-1 = den (den M)^-1 for M = the order as columns, den its denominator
-    den, columns = cleared_rows(order)
-    scale, inv = scaled_inverse(transpose(columns))
-    basis_mats = np.array(
-        [
-            [[float(c) for c in row] for row in _skew_from_coords(pairs, v, n)]
-            for v in order
+    basis_mats = np.zeros((len(order), n, n))
+    from_coords = np.zeros((len(order), len(order)))
+    members = {}
+    for t, (_, block, v) in enumerate(order):
+        members.setdefault(block, []).append(t)
+        for (i, j), c in zip(map(pairs.__getitem__, block), v):
+            basis_mats[t, i, j], basis_mats[t, j, i] = float(c), float(-c)
+    for block, rows in members.items():
+        # M^-1 = den (den M)^-1, M the block's vectors as columns over den
+        den, columns = cleared_rows([order[t][2] for t in rows])
+        scale, inv = scaled_inverse(transpose(columns))
+        from_coords[np.ix_(rows, block)] = [
+            [float(Fraction(den * x, scale)) for x in row] for row in inv
         ]
-    )
-    from_coords = np.array([[float(Fraction(den * x, scale)) for x in row] for row in inv])
-    return _RootSpaces(
-        pairs=pairs,
-        basis_mats=basis_mats,
-        block_slices=block_slices,
-        zero_slice=zero_slice,
-        from_coords=from_coords,
-    )
+    return _RootSpaces(pairs, basis_mats, block_slices, zero_slice, from_coords)
 
 
 def sample_orbit(
@@ -569,23 +566,29 @@ def expm(a: np.ndarray) -> np.ndarray:
     return e
 
 
-def _height_curve_second_derivatives(
-    base: np.ndarray, beta_mat: np.ndarray, xis: np.ndarray, h: float
-) -> np.ndarray:
+def _height_curve_second_derivatives(base, beta_mat, xis, h: float) -> np.ndarray:
     """Centered finite differences of t -> <Ad(exp t xi) x, beta> at 0.
 
     One value per direction in the stack ``xis``, from one stacked matrix
-    exponential; ``base`` and ``beta_mat`` are one matrix each or one per
-    direction.  The directions are antisymmetric, so exp(-h xi) is the
-    transpose of exp(h xi) and serves the other side.
+    exponential; ``base`` and ``beta_mat`` are one matrix each.  The
+    directions are antisymmetric, so exp(-h xi) is the transpose of
+    exp(h xi) and serves the other side.
     """
-    k, n = len(xis), base.shape[-1]
     g = expm(h * xis)
     gt = np.swapaxes(g, -1, -2)
-    f_plus = np.sum((g @ base @ gt * beta_mat).reshape(k, n * n), axis=1)
-    f_minus = np.sum((gt @ base @ g * beta_mat).reshape(k, n * n), axis=1)
-    f_zero = np.sum((base * beta_mat).reshape(-1, n * n), axis=1)
+    f_plus = np.sum((g @ base @ gt * beta_mat).reshape(len(xis), -1), axis=1)
+    f_minus = np.sum((gt @ base @ g * beta_mat).reshape(len(xis), -1), axis=1)
+    f_zero = np.sum(base * beta_mat)
     return (f_plus - 2.0 * f_zero + f_minus) / (h * h)
+
+
+def _commutator_second_derivatives(bases, beta_mats, xis) -> np.ndarray:
+    """Exact second derivative of t -> <Ad(exp t xi) x, beta> at 0 per slice:
+    <[xi, [xi, x]], beta> = -<[xi, x], [xi, beta]>, as ad(xi) is skew-adjoint
+    for the trace form; four stacked products in all."""
+    u = xis @ bases - bases @ xis
+    v = xis @ beta_mats - beta_mats @ xis
+    return -np.sum((u * v).reshape(len(xis), -1), axis=1)
 
 
 def _closed_forms(model: MatrixModel, x_cartan, beta_cartan, xis) -> np.ndarray:
@@ -690,20 +693,15 @@ def local_max_test(model: MatrixModel, pairs, *, n_directions: int = 100) -> lis
     """Chamber predicate versus the numeric local-maximum verdict, per pair.
 
     ``pairs`` lists (x, beta, seed).  The exact verdict of a pair is
-    share_closed_chamber(x, beta).  The numeric one runs centered finite
-    differences of the height curve along ``n_directions`` random
-    antisymmetric directions and requires every second derivative to stay
-    below 1e-6 * max(1, |x| * |beta|).  Directions are drawn per root-space
-    block first (two sweeps), then across the whole Lie algebra: when a
-    chamber-separating root exists, directions concentrated in its block
-    see the positive curvature directly, making the verdict robust.  A
-    pair's direction weights come from its own stream (seed, _LOCAL_MAX),
-    and every finite difference depends on its own direction only, so a
-    pair's record does not depend on the other pairs.  The pairs go
-    through the finite differences together, as many whole pairs per
-    stack as fit in _CHUNK directions (one pair when it alone has more),
-    which bounds the scratch memory.  Returns one record per pair with
-    both verdicts and their agreement.
+    share_closed_chamber(x, beta); the numeric one requires the exact second
+    derivative of the height curve to stay below 1e-6 * max(1, |x| |beta|)
+    along ``n_directions`` random antisymmetric directions: two sweeps over
+    the root-space blocks, where a chamber-separating root shows its
+    curvature directly, then the whole Lie algebra.  A pair's weights come
+    from its own stream (seed, _LOCAL_MAX), so its record does not depend
+    on the other pairs.  A stack holds as many whole pairs as fit in _CHUNK
+    directions (at least one), which bounds the scratch memory.  Returns
+    one record per pair with both verdicts and their agreement.
     """
     rs = model.root_system
     spaces = _root_spaces(model)
@@ -723,12 +721,11 @@ def local_max_test(model: MatrixModel, pairs, *, n_directions: int = 100) -> lis
         weights = _direction_weights(spaces, keys, layout)
         xis, keep = _unit_directions(spaces, weights)
         owners = np.repeat(np.arange(first, first + len(keys)), layout[2])[keep]
-        seconds = _height_curve_second_derivatives(
-            bases[owners], beta_mats[owners], xis, 1e-4
-        )
+        seconds = _commutator_second_derivatives(bases[owners], beta_mats[owners], xis)
         np.fmax.at(worst, owners, seconds)
     records = []
-    for (x, beta, _), top in zip(pairs, worst.tolist()):
+    # + 0.0 turns the -0.0 of a flat set of directions into 0.0
+    for (x, beta, _), top in zip(pairs, (worst + 0.0).tolist()):
         chamber = share_closed_chamber(rs, x, beta)
         x_norm = math.sqrt(sum(float(c) ** 2 for c in x))
         b_norm = math.sqrt(sum(float(c) ** 2 for c in beta))
@@ -864,10 +861,10 @@ def verification_report(
        per unit of height deficit; the report gives the factor and the
        margin, distance over tolerance.  The numeric extreme-orbit
        dimension equals the predicted one;
-    4. chamber predicate versus finite-difference verdict on random
-       dominant/arbitrary integer pairs (the stream (seed, _PAIRS)), all
-       pairs in one stacked ``local_max_test`` call with pair k drawing
-       its directions from seed k, gated at full agreement;
+    4. chamber predicate versus the verdict of exact second derivatives
+       (commutators) on random dominant/arbitrary integer pairs (the stream
+       (seed, _PAIRS)), all in one stacked ``local_max_test`` call with pair
+       k drawing its directions from seed k, gated at full agreement;
     5. closed-form Hessian versus finite differences for each
        descriptor's witness and for beta = x, check i with
        ``hessian_check(seed=i)``, gated at 1e-5 * |x| * |beta|.

@@ -8,8 +8,9 @@ reflection group is enumerated as exact matrices built from the simple
 roots and the Gram matrix alone (orbits, dominant representatives,
 vertex actions, face orbits and chamber sharing are read off those
 matrices), the symmetric matrix model through the majorization
-characterization of diagonals, and the Haar mass near the model's
-vertices through a second-order expansion of the orbit map.  Agreement
+characterization of diagonals, the Haar mass near the model's
+vertices through a second-order expansion of the orbit map, and the
+model's root spaces through kernels of one dense ``Fraction`` operator.  Agreement
 between these and the package is what the tests freeze.
 
 Some helpers build test data and are not oracles: ``simple_reflection``
@@ -584,6 +585,92 @@ def hull_by_subsets(points) -> RationalPolytope:
     vertices, facets = tuple(sorted(vertices)), tuple(sorted(facets))
     faces = face_lattice_by_intersections(vertices, facets)
     return RationalPolytope(len(p0), d, vertices, facets, p0, tuple(basis), faces)
+
+
+class DenseRootSpaces(NamedTuple):
+    pairs: list
+    basis_mats: np.ndarray
+    block_slices: list
+    zero_slice: slice
+    from_coords: np.ndarray
+
+
+def _skew_from_coords(pairs, coords, n):
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), c in zip(pairs, coords):
+        out[i][j] = Fraction(c)
+        out[j][i] = -Fraction(c)
+    return out
+
+
+def _bracket(a, b, n):
+    """Exact [a, b] = ab - ba, summing only over the nonzero entries of a."""
+    rows = [[k for k in range(n) if a[i][k]] for i in range(n)]
+    cols = [[k for k in range(n) if a[k][j]] for j in range(n)]
+    return [
+        [
+            sum((a[i][k] * b[k][j] for k in rows[i]), Fraction(0))
+            - sum((b[i][k] * a[k][j] for k in cols[j]), Fraction(0))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def root_spaces_by_dense_kernels(model) -> DenseRootSpaces:
+    """The root-space layout of ``matmodel._root_spaces`` from dense matrices.
+
+    The same separating Cartan element h (alpha_j(h) = b^j), from the Gram
+    pairing and ``inverse``.  T = sign * ad(h)^2 is one dense Fraction
+    matrix, from one exact double bracket per basis element E_ij - E_ji of
+    so(n); each root space is the kernel of the whole T - lambda(h)^2 and
+    the centralizer that of T, by one reduced row echelon form each, and the
+    change of basis is inverted by Gauss-Jordan over Fraction.
+    """
+    rs = model.root_system
+    n = model.n
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    sign = 1 if model.kind == "sym" else -1
+    b = 1 + max(c for coeffs in rs.positive_coefficients for c in coeffs)
+    simples = rs.simple_roots
+    gram = [[pairing(rs, u, v) for v in simples] for u in simples]
+    y = _matvec(inverse(gram), tuple(b**j for j in range(rs.rank)))
+    h = tuple(_dot(y, col) for col in zip(*simples))
+    hm = [[Fraction(0)] * n for _ in range(n)]
+    for i, c in enumerate(h):
+        if model.kind == "sym":
+            hm[i][i] = c
+        else:
+            hm[2 * i][2 * i + 1], hm[2 * i + 1][2 * i] = c, -c
+    columns = []
+    for a in range(len(pairs)):
+        unit = _skew_from_coords(pairs, [int(t == a) for t in range(len(pairs))], n)
+        image = _bracket(hm, _bracket(hm, unit, n), n)
+        columns.append([sign * image[i][j] for (i, j) in pairs])
+    op = transpose(columns)
+    order, block_slices = [], []
+    for lam, mult in zip(rs.positive_roots, rs.positive_multiplicities):
+        value = pairing(rs, lam, h) ** 2
+        space = nullspace(
+            [[c - value if a == k else c for a, c in enumerate(row)]
+             for k, row in enumerate(op)]
+        )
+        assert len(space) == mult
+        block_slices.append(slice(len(order), len(order) + mult))
+        order.extend(space)
+    center = nullspace(op)
+    zero_slice = slice(len(order), len(order) + len(center))
+    order.extend(center)
+    basis_mats = np.array(
+        [
+            [[float(c) for c in row] for row in _skew_from_coords(pairs, v, n)]
+            for v in order
+        ]
+    )
+    from_coords = np.array(
+        [[float(c) for c in row] for row in inverse(transpose(order))]
+    )
+    return DenseRootSpaces(pairs, basis_mats, block_slices, zero_slice, from_coords)
 
 
 def majorized_by(values, bound, tol=1e-9):

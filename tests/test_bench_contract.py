@@ -49,17 +49,27 @@ def test_bound_parameter_names_exist():
 
 
 TRACED_RUN = """
-import json, os, sys
+import json, os, sys, traceback
 sys.path[:0] = [{src!r}, {bench!r}]
 import orbitope_lab
-from orbitope_lab import cli
+from orbitope_lab import cli, matmodel
 from tracer import Tracer
 
 loaded = ["numpy" in sys.modules, "scipy.linalg" in sys.modules,
           "orbitope_lab.matmodel" in sys.modules]
 tracer = Tracer()
 tracer.install()
-out = {{"loaded": loaded}}
+expm, expm_stages = matmodel.expm, []
+
+
+def counting_expm(a):
+    frames = {{frame.name for frame in traceback.extract_stack()}}
+    expm_stages.append(sorted(frames & {{"local_max_test", "hessian_check"}}))
+    return expm(a)
+
+
+matmodel.expm = counting_expm
+out = {{"loaded": loaded, "expm_stages": expm_stages}}
 cases = {{
     "b2": ["verify", "--system", "B2", "--x", "2,1"],
     "sym2": ["verify", "--model", "sym2", "--x", "1,-1", "--n-samples", "200"],
@@ -112,3 +122,8 @@ def test_traced_verify_calls_each_stage_once():
     assert out["sym2"]["matmodel.local_max_test.calls"] == 1
     assert out["sym2"]["weyl.to_dominant.calls"] == 101
     assert out["sym2"]["rootsys.share_closed_chamber.calls"] == 100
+    # every expm call is the Hessian stage's, one per descriptor and one for
+    # beta = x: the local-max stage reads exact second derivatives
+    hessians = out["sym2"]["facelab.descriptors"] + 1
+    assert out["sym2"]["matmodel.hessian_check.calls"] == hessians
+    assert out["expm_stages"] == [["hessian_check"]] * hessians

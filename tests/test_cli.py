@@ -548,6 +548,25 @@ def test_verify_model_corrupt_descriptor_fails_the_faces_stage(capsys):
     assert not numeric["stages"][2]["descriptors"][0]["passed"]
 
 
+def test_negated_chamber_predicate_fails_local_max_agreement(capsys, monkeypatch):
+    """A negative control: with the chamber predicate negated, every pair of
+    the local-max stage disagrees with the exact second derivatives."""
+    from orbitope_lab import matmodel
+
+    share = matmodel.share_closed_chamber
+    monkeypatch.setattr(
+        matmodel, "share_closed_chamber", lambda rs, x, y: not share(rs, x, y)
+    )
+    status, report = run_json(capsys, ["verify", "--model", "sym3", "--x", "2,0,-2"])
+    assert status == 1
+    numeric = report["stages"][1]["report"]
+    assert numeric["failed_stages"] == ["local-max-agreement"]
+    stage = numeric["stages"][3]
+    assert stage["name"] == "local-max-agreement"
+    assert stage["agreements"] == 0
+    assert len(stage["disagreements"]) == stage["pairs"] == 100
+
+
 # sha256 of a handful of exact reports, so that the suite checks that they
 # stay byte-identical; a change to one of them is a named report change.
 # Model reports are left out: their floats depend on the BLAS build.

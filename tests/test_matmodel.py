@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
-from oracles import majorized_by, pairing
+from oracles import majorized_by, pairing, root_spaces_by_dense_kernels
 from orbitope_lab import facelab, jsonio, matmodel
 from orbitope_lab import polytope as poly
 from orbitope_lab.rootsys import make_root_system, metric_covector
@@ -150,18 +150,51 @@ def test_root_spaces_are_joint_eigenspaces_of_the_cartan(kind, n):
 
 
 def test_root_spaces_build_one_operator(monkeypatch):
-    """One double bracket per basis element of so(n), nothing else."""
+    """One sparse double bracket per basis element of so(n), all with the one
+    integer Cartan element h, and one kernel per block of the operator and
+    value lambda(h)^2 or 0.  skew7's 15 blocks are its nine basis elements
+    in the Cartan or the last column, one each, and six pairs, two per pair
+    of rotation blocks; sym6's are its 15 basis elements."""
     bracket_ = matmodel._bracket
-    calls = []
+    nullspace_ = matmodel.nullspace
+    calls, sizes = [], []
 
-    def counting(*args):
-        calls.append(args)
-        return bracket_(*args)
+    def counting(h, m):
+        calls.append((h, m))
+        return bracket_(h, m)
+
+    def sizing(a):
+        sizes.append(len(a))
+        return nullspace_(a)
 
     monkeypatch.setattr(matmodel, "_bracket", counting)
+    monkeypatch.setattr(matmodel, "nullspace", sizing)
     model = matmodel.make_model("skew", 7)
     matmodel._root_spaces.__wrapped__(model)
     assert len(calls) == 2 * 21
+    h = calls[0][0]
+    # h is the block matrix of three nonzero angles: its nonzeros only
+    assert len(h) == 6 and all(type(v) is int and v for v in h.values())
+    assert all(c[0] is h for c in calls)
+    assert all(len(m) == 2 for _, m in calls[::2])
+    assert sorted(sizes) == [1] * 9 * 10 + [2] * 6 * 10
+    sizes.clear()
+    matmodel._root_spaces.__wrapped__(matmodel.make_model("sym", 6))
+    assert sizes == [1] * 15 * 16
+
+
+@pytest.mark.parametrize(
+    "kind,n", [("sym", n) for n in range(2, 9)] + [("skew", n) for n in range(3, 11)]
+)
+def test_root_spaces_match_the_dense_oracle(kind, n):
+    model = matmodel.make_model(kind, n)
+    spaces = matmodel._root_spaces(model)
+    dense = root_spaces_by_dense_kernels(model)
+    assert spaces.pairs == dense.pairs
+    assert spaces.block_slices == dense.block_slices
+    assert spaces.zero_slice == dense.zero_slice
+    assert np.array_equal(spaces.basis_mats, dense.basis_mats)
+    assert np.array_equal(spaces.from_coords, dense.from_coords)
 
 
 def test_root_spaces_check_the_declared_dimensions():
@@ -335,10 +368,26 @@ def counting_expm(monkeypatch):
     return calls
 
 
-def test_local_max_test_makes_one_expm_call(monkeypatch):
-    calls = counting_expm(monkeypatch)
+def counting_commutators(monkeypatch):
+    calls = []
+    kernel = matmodel._commutator_second_derivatives
+
+    def counting(bases, beta_mats, xis):
+        calls.append(xis.shape)
+        return kernel(bases, beta_mats, xis)
+
+    monkeypatch.setattr(matmodel, "_commutator_second_derivatives", counting)
+    return calls
+
+
+def test_local_max_test_makes_no_expm_call(monkeypatch):
+    """The sweep reads exact second derivatives: one stacked commutator
+    evaluation and no matrix exponential."""
+    exponentials = counting_expm(monkeypatch)
+    calls = counting_commutators(monkeypatch)
     model = matmodel.make_model("skew", 5)
     matmodel.local_max_test(model, [((2, 1), (1, -1), 3)], n_directions=40)
+    assert exponentials == []
     assert calls == [(40, 5, 5)]
 
 
@@ -385,7 +434,7 @@ def test_stacked_local_max_matches_one_pair_calls(monkeypatch, n_pairs, zeroed):
         ([rng.randint(-4, 4) for _ in range(2)], [rng.randint(-4, 4) for _ in range(2)], k)
         for k in range(n_pairs)
     ]
-    calls = counting_expm(monkeypatch)
+    calls = counting_commutators(monkeypatch)
     stacked = matmodel.local_max_test(model, pairs, n_directions=128)
     per_stack = matmodel._CHUNK // 128
     assert [shape[0] for shape in calls] == [
@@ -694,6 +743,8 @@ def test_local_max_frozen_cases():
     assert opposite["agree"]
     assert opposite["max_second_derivative"] > opposite["threshold"]
     assert flat["chamber"] and flat["numeric"]
+    # a flat set of directions reads 0.0, not -0.0
+    assert repr(flat["max_second_derivative"]) == "0.0"
 
 
 def test_local_max_agreement_sweep():
@@ -716,6 +767,46 @@ def test_local_max_agreement_sweep():
             pairs.append((xd, beta, k))
         for pair, rec in zip(pairs, matmodel.local_max_test(model, pairs)):
             assert rec["agree"], (kind, pair, rec)
+
+
+def verify_pairs(model, seed):
+    """The 100 (x, beta, k) pairs of a verify's local-max stage at ``seed``."""
+    group = generate(model.root_system)
+    rng = matmodel._stream(seed, matmodel._PAIRS)
+    pairs = []
+    for k in range(100):
+        xd = matmodel._dominant_integer_vector(rng, model, group)
+        pairs.append((xd, matmodel._random_cartan_vector(rng, model), k))
+    return pairs
+
+
+@pytest.mark.parametrize("seed", [42, 1009])
+@pytest.mark.parametrize("kind,n", [("sym", 3), ("sym", 4), ("skew", 5), ("skew", 7)])
+def test_commutator_form_matches_finite_differences(monkeypatch, kind, n, seed):
+    """On the directions of a verify's pairs, the exact second derivatives
+    agree with centered finite differences within 1e-6 * max(1, |x| |beta|),
+    and the verdicts match pair by pair."""
+    model = matmodel.make_model(kind, n)
+    kernel = matmodel._commutator_second_derivatives
+    stacks = []
+
+    def recording(bases, beta_mats, xis):
+        stacks.append((xis, kernel(bases, beta_mats, xis)))
+        return stacks[-1][1]
+
+    monkeypatch.setattr(matmodel, "_commutator_second_derivatives", recording)
+    for x, beta, k in verify_pairs(model, seed):
+        stacks.clear()
+        (record,) = matmodel.local_max_test(model, [(x, beta, k)])
+        ((xis, exact),) = stacks
+        fd = matmodel._height_curve_second_derivatives(
+            matmodel.embed(model, x), matmodel.embed(model, beta), xis, 1e-4
+        )
+        threshold = record["threshold"]
+        assert np.max(np.abs(exact - fd)) <= threshold, (x, beta)
+        assert record["max_second_derivative"] == np.max(exact)
+        assert (np.max(fd) <= threshold) == record["numeric"], (x, beta)
+        assert record["agree"], (x, beta)
 
 
 def test_ext_face_dim_matches_prediction():
