@@ -244,15 +244,20 @@ def cmd_verify(args) -> tuple[int, dict]:
         }
     ]
     if model is not None:
-        numeric = matmodel.verification_report(
-            model,
-            dom.vector,
-            args.n_samples,
-            args.seed,
-            group=group,
-            orbit_polytope=hull,
-            descriptors=descriptors,
-        )
+        try:
+            numeric = matmodel.verification_report(
+                model,
+                dom.vector,
+                args.n_samples,
+                args.seed,
+                group=group,
+                orbit_polytope=hull,
+                descriptors=descriptors,
+            )
+        except MemoryError:
+            raise CliError(
+                f"--n-samples {args.n_samples} needs more memory than is available"
+            ) from None
         stages.append({"name": "model", "passed": numeric["passed"], "report": numeric})
     passed = all(stage["passed"] for stage in stages)
     first = None

@@ -94,20 +94,53 @@ class MatrixModel:
 
 @dataclass(eq=False)
 class OrbitSample:
-    """Haar samples g x g^T of one orbit, with their Cartan projections.
+    """Haar samples g x g^T of one orbit, kept as their Cartan projections.
 
-    The first ``n_haar`` points are the seeded Haar draws; any further
-    points come from explicitly forced Cartan vectors (a deterministic
-    test hook, e.g. to force the identity group element).
+    The first ``n_haar`` rows are the seeded Haar draws; any further rows
+    come from the exact Cartan vectors ``forced`` (a deterministic test
+    hook, e.g. to force the identity group element).  ``max_deviation`` is
+    the worst invariant deviation over all rows, taken as they were drawn.
     """
 
     model: MatrixModel
     x_cartan: Vec
     base_point: np.ndarray
-    points: np.ndarray
     projections: np.ndarray
     seed: int
     n_haar: int
+    forced: tuple
+    max_deviation: float
+
+    @property
+    def points(self) -> _SamplePoints:
+        return _SamplePoints(self)
+
+
+class _SamplePoints:
+    """Read-only view of a sample's matrices: its length draws nothing, and a
+    row is re-drawn bit for bit from its chunk's stream, or re-embedded."""
+
+    def __init__(self, sample: OrbitSample):
+        self.sample = sample
+        self.shape = (sample.n_haar + len(sample.forced),) + sample.base_point.shape
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self[:], dtype)
+
+    def __getitem__(self, index) -> np.ndarray:
+        s, rows = self.sample, np.arange(len(self))[index]
+        out = np.empty(rows.shape + self.shape[1:])
+        last = -(-s.n_haar // _CHUNK)  # the forced points' chunk
+        chunks = sorted({i // _CHUNK if i < s.n_haar else last for i in rows.flat})
+        args = s.model, s.base_point, s.seed, s.n_haar, s.forced, chunks
+        for start, mats in _chunks(*args):
+            hit = (rows >= start) & (rows < start + len(mats))
+            out[hit] = mats[rows[hit] - start]
+        out.flags.writeable = False
+        return out
 
 
 class ExtDimResult(NamedTuple):
@@ -335,6 +368,33 @@ def _root_spaces(model: MatrixModel) -> _RootSpaces:
     return _RootSpaces(pairs, basis_mats, block_slices, zero_slice, from_coords)
 
 
+def _chunks(model, base, seed: int, n_samples: int, forced, chunks):
+    """(first row, matrices) of each chunk c in ``chunks``, in order, drawn
+    into one _CHUNK x n x n workspace that the next chunk overwrites.
+
+    Haar chunk c is one Gaussian fill of the stream (seed, _HAAR, c), one
+    stacked QR with Mezzadri's sign fix and a determinant flip of the first
+    column, then one stacked conjugation of ``base``.  The chunk after the
+    last Haar chunk holds the exact embeddings of the ``forced`` vectors.
+    """
+    z = np.empty((min(_CHUNK, n_samples),) + base.shape)
+    work = np.empty_like(z)
+    for c in chunks:
+        start = min(c * _CHUNK, n_samples)
+        if start == n_samples:
+            yield start, np.array([embed(model, v) for v in forced])
+            continue
+        k = min(_CHUNK, n_samples - start)
+        _stream(seed, _HAAR, c).standard_normal(out=z[:k])
+        q, r = np.linalg.qr(z[:k])
+        signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+        signs[signs == 0] = 1.0
+        q *= signs[:, None, :]
+        q[np.linalg.det(q) < 0, :, 0] *= -1.0
+        np.matmul(q, base, out=work[:k])
+        yield start, np.matmul(work[:k], np.swapaxes(q, -1, -2), out=z[:k])
+
+
 def sample_orbit(
     model: MatrixModel,
     x_cartan,
@@ -345,40 +405,39 @@ def sample_orbit(
 ) -> OrbitSample:
     """Haar-uniform conjugates of the embedded Cartan point.
 
-    The draws come _CHUNK at a time: chunk c is one stacked Gaussian fill
-    from the stream (seed, _HAAR, c), turned into rotations by one stacked
-    QR with Mezzadri's sign fix and a determinant flip of the first column,
-    then one stacked conjugation.  The fill is sequential, so a shorter run
-    is a bitwise prefix of a longer one with the same seed.
-    ``forced_cartan_points`` appends the exact embeddings of the given
-    Cartan vectors after the Haar draws; forcing x itself realizes the
-    identity group element.
+    The draws come _CHUNK at a time (``_chunks``): each chunk leaves its
+    projections and its invariant deviation (sorted eigenvalues for sym,
+    sorted singular values for skew), then the next overwrites it.  The
+    fill is sequential, so a shorter run is a bitwise prefix of a longer
+    one with the same seed.  ``forced_cartan_points`` appends the exact
+    embeddings of the given Cartan vectors after the Haar draws; forcing x
+    itself realizes the identity group element.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     x = vec(x_cartan)
     base = embed(model, x)
-    n = model.n
-    points = np.empty((n_samples + len(forced_cartan_points), n, n))
-    for c, start in enumerate(range(0, n_samples, _CHUNK)):
-        k = min(_CHUNK, n_samples - start)
-        z = _stream(seed, _HAAR, c).standard_normal((k, n, n))
-        q, r = np.linalg.qr(z)
-        signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-        signs[signs == 0] = 1.0
-        q *= signs[:, None, :]
-        q[np.linalg.det(q) < 0, :, 0] *= -1.0
-        points[start : start + k] = q @ base @ np.swapaxes(q, -1, -2)
-    for k, v in enumerate(forced_cartan_points):
-        points[n_samples + k] = embed(model, v)
+    forced = tuple(forced_cartan_points)
+    projections = np.empty((n_samples + len(forced), model.root_system.ambient_dim))
+    if model.kind == "sym":
+        invariants = np.linalg.eigvalsh
+    else:
+        invariants = lambda m: np.sort(np.linalg.svd(m, compute_uv=False), axis=-1)
+    base_vals = invariants(base)
+    deviation = np.float64(0.0)
+    chunks = range(-(-n_samples // _CHUNK) + bool(forced))
+    for start, mats in _chunks(model, base, seed, n_samples, forced, chunks):
+        projections[start : start + len(mats)] = project(model, mats)
+        deviation = np.maximum(deviation, np.max(np.abs(invariants(mats) - base_vals)))
     return OrbitSample(
         model=model,
         x_cartan=x,
         base_point=base,
-        points=points,
-        projections=project(model, points),
+        projections=projections,
         seed=seed,
         n_haar=n_samples,
+        forced=forced,
+        max_deviation=float(deviation),
     )
 
 
@@ -472,10 +531,12 @@ def kostant_check(
     worst_facet = float(np.max(facets))
     worst_residual = float(np.max(residuals))
     haar = sample.projections[: sample.n_haar]
-    vertex_distances = [
-        float(np.min(np.linalg.norm(haar - [float(c) for c in v], axis=-1)))
-        for v in polytope_.vertices
-    ]
+    # |haar - v| per vertex, as np.linalg.norm takes it, in two reused buffers
+    gaps, dists, vertex_distances = np.empty_like(haar), np.empty(len(haar)), []
+    for v in polytope_.vertices:
+        np.subtract(haar, [float(c) for c in v], out=gaps)
+        np.add.reduce(np.multiply(gaps, gaps, out=gaps), axis=-1, out=dists)
+        vertex_distances.append(float(np.min(np.sqrt(dists, out=dists))))
     covered = sum(1 for d in vertex_distances if d <= vertex_tol)
     return {
         "max_facet_violation": None if worst_facet == -math.inf else worst_facet,
@@ -1032,16 +1093,7 @@ def verification_report(
 
 
 def spectrum_deviation(sample: OrbitSample) -> float:
-    """Worst deviation of the conjugation invariants across the sample.
-
-    Symmetric model: sorted eigenvalues; skew model: sorted singular
-    values.  Either is constant on the orbit, so the deviation from the
-    base point's invariants is pure numerical error.
-    """
-    if sample.model.kind == "sym":
-        base_vals = np.linalg.eigvalsh(sample.base_point)
-        vals = np.linalg.eigvalsh(sample.points)
-    else:
-        base_vals = np.sort(np.linalg.svd(sample.base_point, compute_uv=False))
-        vals = np.sort(np.linalg.svd(sample.points, compute_uv=False), axis=-1)
-    return float(np.max(np.abs(vals - base_vals)))
+    """Worst deviation of the conjugation invariants across the sample, as
+    ``sample_orbit`` took it: pure numerical error, as they are constant on
+    the orbit."""
+    return sample.max_deviation

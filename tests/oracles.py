@@ -10,8 +10,9 @@ vertex actions, face orbits and chamber sharing are read off those
 matrices), the symmetric matrix model through the majorization
 characterization of diagonals, the Haar mass near the model's
 vertices through a second-order expansion of the orbit map, and the
-model's root spaces through kernels of one dense ``Fraction`` operator.  Agreement
-between these and the package is what the tests freeze.
+model's root spaces through kernels of one dense ``Fraction`` operator, and
+the streamed Haar sampler through the sampler that keeps every conjugate.
+Agreement between these and the package is what the tests freeze.
 
 Some helpers build test data and are not oracles: ``simple_reflection``
 and ``reflect`` give exact reflections from the simple roots and the Gram
@@ -34,6 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from orbitope_lab import matmodel
 from orbitope_lab.linalg import cleared, nullspace, rref, transpose, vec, vec_sub
 from orbitope_lab.polytope import PolytopeFace, RationalPolytope
 
@@ -671,6 +673,48 @@ def root_spaces_by_dense_kernels(model) -> DenseRootSpaces:
         [[float(c) for c in row] for row in inverse(transpose(order))]
     )
     return DenseRootSpaces(pairs, basis_mats, block_slices, zero_slice, from_coords)
+
+
+class MaterializedSample(NamedTuple):
+    points: np.ndarray
+    projections: np.ndarray
+    spectrum_deviation: float
+
+
+def sample_orbit_materialized(
+    model, x_cartan, n_samples, seed, *, forced_cartan_points=()
+):
+    """The Haar sampler that keeps all N conjugates in one N x n x n stack.
+
+    The reference for the streamed ``matmodel.sample_orbit``: chunk c is one
+    stacked Gaussian fill of the stream (seed, _HAAR, c), one stacked QR
+    with Mezzadri's sign fix and a determinant flip of the first column,
+    and one stacked conjugation; the forced points' exact embeddings follow
+    the draws.  Projections and the invariant deviation (sorted eigenvalues
+    for sym, sorted singular values for skew) are read off the whole stack.
+    """
+    chunk, n = matmodel._CHUNK, model.n
+    base = matmodel.embed(model, x_cartan)
+    points = np.empty((n_samples + len(forced_cartan_points), n, n))
+    for c, start in enumerate(range(0, n_samples, chunk)):
+        k = min(chunk, n_samples - start)
+        z = np.random.default_rng((seed, matmodel._HAAR, c)).standard_normal((k, n, n))
+        q, r = np.linalg.qr(z)
+        signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+        signs[signs == 0] = 1.0
+        q *= signs[:, None, :]
+        q[np.linalg.det(q) < 0, :, 0] *= -1.0
+        points[start : start + k] = q @ base @ np.swapaxes(q, -1, -2)
+    for k, v in enumerate(forced_cartan_points):
+        points[n_samples + k] = matmodel.embed(model, v)
+    if model.kind == "sym":
+        base_vals = np.linalg.eigvalsh(base)
+        vals = np.linalg.eigvalsh(points)
+    else:
+        base_vals = np.sort(np.linalg.svd(base, compute_uv=False))
+        vals = np.sort(np.linalg.svd(points, compute_uv=False), axis=-1)
+    deviation = float(np.max(np.abs(vals - base_vals)))
+    return MaterializedSample(points, matmodel.project(model, points), deviation)
 
 
 def majorized_by(values, bound, tol=1e-9):

@@ -269,10 +269,11 @@ def fixed_e1_sample(model, x, seed):
         model=model,
         x_cartan=tuple(Fraction(c) for c in x),
         base_point=base,
-        points=points,
         projections=matmodel.project(model, points),
         seed=seed,
         n_haar=COVERAGE_DRAWS,
+        forced=(),
+        max_deviation=math.nan,  # kostant_check reads only the projections
     )
 
 

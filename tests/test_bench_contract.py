@@ -120,6 +120,8 @@ def test_traced_verify_calls_each_stage_once():
     # each pair's dominant point make 101 to_dominant calls, and each pair
     # one chamber test
     assert out["sym2"]["matmodel.local_max_test.calls"] == 1
+    # 200 Haar draws and the segment's 2 forced vertices
+    assert out["sym2"]["matmodel.samples"] == 202
     assert out["sym2"]["weyl.to_dominant.calls"] == 101
     assert out["sym2"]["rootsys.share_closed_chamber.calls"] == 100
     # every expm call is the Hessian stage's, one per descriptor and one for
@@ -127,3 +129,22 @@ def test_traced_verify_calls_each_stage_once():
     hessians = out["sym2"]["facelab.descriptors"] + 1
     assert out["sym2"]["matmodel.hessian_check.calls"] == hessians
     assert out["expm_stages"] == [["hessian_check"]] * hessians
+
+
+def test_sample_length_draws_nothing(monkeypatch):
+    """The tracer counts ``len(sample_orbit(...).points)`` as
+    ``matmodel.samples``: the Haar draws plus the forced points, read
+    without opening a Haar stream."""
+    from orbitope_lab import matmodel
+
+    model = matmodel.make_model("sym", 3)
+    forced = [(2, 0, -2), (0, 2, -2)]
+    sample = matmodel.sample_orbit(
+        model, (2, 0, -2), matmodel._CHUNK + 5, seed=1, forced_cartan_points=forced
+    )
+    opened, stream = [], matmodel._stream
+    monkeypatch.setattr(
+        matmodel, "_stream", lambda *key: opened.append(key) or stream(*key)
+    )
+    assert len(sample.points) == matmodel._CHUNK + 5 + len(forced)
+    assert opened == []

@@ -433,6 +433,21 @@ def test_nonpositive_counts_are_clean_errors(capsys, flag, value):
     assert err == f"error: {flag} must be a positive integer, got {value}\n"
 
 
+def test_unallocatable_sample_is_a_clean_error(capsys, monkeypatch):
+    """A sample too large to allocate names --n-samples; the allocation is
+    only simulated here."""
+    import numpy as np
+
+    def refuse(shape, *args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "empty", refuse)
+    err = error_message(
+        capsys, ["verify", "--model", "sym2", "--x", "1,-1", "--n-samples", "10"]
+    )
+    assert err == "error: --n-samples 10 needs more memory than is available\n"
+
+
 def assert_model_passes(capsys, argv):
     assert main(argv) == 0
     captured = capsys.readouterr()
@@ -601,3 +616,35 @@ def test_exact_reports_are_byte_identical(capsys, argv, status, digest):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("last_only", [False, True])
+def test_non_orthogonal_rotations_fail_the_spectrum_stage(
+    capsys, monkeypatch, last_only
+):
+    """A negative control: rotations scaled by 1 + 1e-6, in every chunk or
+    only in the last, partial one, break the orbit invariants, and the
+    running maximum sees it."""
+    import numpy as np
+
+    qr, sizes = np.linalg.qr, []
+
+    def skewed_qr(a):
+        q, r = qr(a)
+        sizes.append(len(a))
+        if not last_only or len(sizes) == 3:
+            q *= 1 + 1e-6
+        return q, r
+
+    argv = ["verify", "--model", "sym3", "--x", "2,0,-2", "--n-samples", "1100"]
+    _, clean = run_json(capsys, argv)
+    assert "spectrum" not in clean["stages"][1]["report"]["failed_stages"]
+    monkeypatch.setattr(np.linalg, "qr", skewed_qr)
+    status, report = run_json(capsys, argv)
+    assert sizes == [512, 512, 76]
+    assert status == 1
+    numeric = report["stages"][1]["report"]
+    assert "spectrum" in numeric["failed_stages"]
+    spectrum = numeric["stages"][0]
+    assert spectrum["name"] == "spectrum"
+    assert spectrum["max_deviation"] > 1000 * spectrum["tolerance"]
